@@ -29,11 +29,14 @@ __all__ = [
     "gauss_legendre_rule",
     "rule_for_modes",
     "eigenfunction_value",
+    "eval_matrix",
+    "trapezoid_weights",
     "eigenfunction_lp_norm",
     "inner_product",
     "correlation",
     "correlation_quadrature",
     "build_tensor",
+    "cubic_term",
     "quartic_form",
     "sigma_sum",
     "count_circle_representations",
@@ -120,6 +123,19 @@ def eigenfunction_value(n: int, r):
     # sin(n pi r)/r = n pi sinc(n r), regular at the origin.
     vals = n * np.pi * np.sinc(n * r_arr)
     return float(vals) if np.isscalar(r) else vals
+
+
+def eval_matrix(N: int, nodes: np.ndarray) -> np.ndarray:
+    """(N, len(nodes)) matrix E[n-1, j] = e_n(r_j), so u(nodes) = a @ E."""
+    n = np.arange(1, N + 1, dtype=float)[:, None]
+    return n * np.pi * np.sinc(n * nodes[None, :])
+
+
+def trapezoid_weights(count: int, dt: float) -> np.ndarray:
+    """Trapezoid-rule weights for `count` samples spaced dt apart in time."""
+    tw = np.full(count, dt)
+    tw[0] = tw[-1] = dt / 2.0
+    return tw
 
 
 def eigenfunction_lp_norm(n: int, p: float, rule: QuadratureRule) -> float:
@@ -239,23 +255,27 @@ class CorrelationTensor:
         if N > self.n_max:
             raise ResolutionError(f"N={N} exceeds tensor cutoff {self.n_max}")
         if N not in self._dense_cache:
+            keys = np.array(list(self.values), dtype=np.int64)
+            inside = keys[:, 3] <= N
+            idx = keys[inside].T - 1
+            vals = np.array(list(self.values.values()))[inside]
             C = np.zeros((N, N, N, N))
-            for key, v in self.values.items():
-                if key[3] > N:
-                    continue
-                i, j, k, l = (x - 1 for x in key)
-                for p in set(permutations((i, j, k, l))):
-                    C[p] = v
+            for p in permutations(range(4)):
+                C[tuple(idx[list(p)])] = vals
             self._dense_cache[N] = C
         return self._dense_cache[N]
 
     def contraction_matrix(self, N: int) -> np.ndarray:
-        """C reshaped to (n1*n2, n*n3) so cubic terms become two GEMMs."""
+        """C reshaped to (n1*n2, n*n3) so cubic terms become two GEMMs.
+
+        Stored complex, the dtype every caller multiplies it in, so numpy
+        does not up-cast the N^4 matrix on each call.
+        """
         key = ("M1", N)
         if key not in self._dense_cache:
             C = self.dense(N)
             self._dense_cache[key] = np.ascontiguousarray(
-                C.transpose(1, 2, 0, 3).reshape(N * N, N * N)
+                C.transpose(1, 2, 0, 3).reshape(N * N, N * N), dtype=complex
             )
         return self._dense_cache[key]
 
@@ -320,8 +340,19 @@ def build_tensor(n_max: int, rule: QuadratureRule | None = None) -> CorrelationT
     )
 
 
+def cubic_term(A: np.ndarray, M1: np.ndarray) -> np.ndarray:
+    """w_n = sum c(n,n1,n2,n3) a_n1 conj(a_n2) a_n3 for a (samples, N) batch.
+
+    M1 is ``CorrelationTensor.contraction_matrix(N)``; the sum is two GEMMs.
+    """
+    S, N = A.shape
+    D = (A[:, :, None] * np.conj(A)[:, None, :]).reshape(S, N * N)
+    F = (D @ M1).reshape(S, N, N)
+    return np.einsum("snc,sc->sn", F, A)
+
+
 def quartic_form(coeffs: np.ndarray, tensor: CorrelationTensor) -> float:
-    """int_B |u|^4 dx for u = sum a_n e_n, by exact tensor contraction.
+    """int_B |u|^4 dx = Re sum conj(a_n) w_n(a), by exact tensor contraction.
 
     Real and non-negative up to a 1e-10 relative imaginary residue, which
     is checked and discarded.
@@ -330,10 +361,7 @@ def quartic_form(coeffs: np.ndarray, tensor: CorrelationTensor) -> float:
     N = a.size
     if N == 0:
         return 0.0
-    M1 = tensor.contraction_matrix(N)
-    D = (a[:, None] * np.conj(a)[None, :]).reshape(-1)
-    F = (D @ M1).reshape(N, N)
-    q = np.conj(a) @ (F @ a)
+    q = np.conj(a) @ cubic_term(a[None, :], tensor.contraction_matrix(N))[0]
     if abs(q.imag) > 1e-10 * max(abs(q), 1.0):
         raise FloatingPointError(f"quartic form has imaginary residue {q.imag:.3e}")
     return float(max(q.real, 0.0))

@@ -29,6 +29,9 @@ import numpy as np
 from .basis import (
     CorrelationTensor,
     QuadratureRule,
+    cubic_term,
+    eval_matrix,
+    gauss_legendre_rule,
     quartic_form,
     rule_for_modes,
 )
@@ -144,9 +147,8 @@ def _collocation_ops(N: int, rule: QuadratureRule):
     """
     n = np.arange(1, N + 1, dtype=float)[:, None]
     r = rule.nodes[None, :]
-    E = n * np.pi * np.sinc(n * r)
     P = 2.0 * np.sin(np.pi * n * r) * (rule.nodes * rule.weights)[None, :]
-    return E, P
+    return eval_matrix(N, rule.nodes), P
 
 
 def _collocation_rule(N: int, config: IntegratorConfig) -> QuadratureRule:
@@ -160,8 +162,6 @@ def _collocation_rule(N: int, config: IntegratorConfig) -> QuadratureRule:
         return rule_for_modes(4 * N)
     degree = 8
     panels = max(4, -(-int(nodes) // degree))
-    from .basis import gauss_legendre_rule
-
     return gauss_legendre_rule(panels, degree)
 
 
@@ -171,23 +171,8 @@ def nonlinear_coefficient(
     """G_n(a), the mode-n coefficient of P_N(|u|^2 u) / ||e_n||^2."""
     if not (1 <= n <= state.N):
         raise DomainError(f"n must be in [1, {state.N}]")
-    return complex(_nonlinear_all(state.coeffs, tensor)[n - 1])
-
-
-def _nonlinear_all(a: np.ndarray, tensor: CorrelationTensor) -> np.ndarray:
-    N = a.size
-    M1 = tensor.contraction_matrix(N)
-    D = (a[:, None] * np.conj(a)[None, :]).reshape(-1)
-    F = (D @ M1).reshape(N, N)
-    return TRILINEAR_SCALE * (F @ a)
-
-
-def _nonlinear_batch(A: np.ndarray, M1: np.ndarray) -> np.ndarray:
-    """G for a (samples, N) batch via two GEMMs."""
-    S, N = A.shape
-    D = (A[:, :, None] * np.conj(A)[:, None, :]).reshape(S, N * N)
-    F = (D @ M1).reshape(S, N, N)
-    return TRILINEAR_SCALE * np.einsum("snc,sc->sn", F, A)
+    M1 = tensor.contraction_matrix(state.N)
+    return complex(TRILINEAR_SCALE * cubic_term(state.coeffs[None, :], M1)[0, n - 1])
 
 
 def _rk4_batch(A, t, dt, M1, nsq, coupling):
@@ -195,7 +180,7 @@ def _rk4_batch(A, t, dt, M1, nsq, coupling):
 
     def rhs(B, tau):
         ph = np.exp(2j * np.pi * nsq * tau)
-        return -1j * coupling * ph * _nonlinear_batch(B / ph, M1)
+        return -1j * coupling * ph * (TRILINEAR_SCALE * cubic_term(B / ph, M1))
 
     B = A * np.exp(2j * np.pi * nsq * t)
     k1 = rhs(B, t)

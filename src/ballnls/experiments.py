@@ -17,7 +17,9 @@ from .basis import (
     CorrelationTensor,
     QuadratureRule,
     build_tensor,
+    cubic_term,
     rule_for_modes,
+    trapezoid_weights,
 )
 from .dynamics import IntegratorConfig, evolve_batch
 from .errors import (
@@ -37,6 +39,7 @@ from .measures import (
 from .norms import (
     NormParams,
     SpaceTimeSpectrum,
+    TimeWindow,
     mixed_norm_l2t,
     mixed_norm_matrix,
     synthesize_uniform,
@@ -107,21 +110,14 @@ class InvarianceReport:
         return all(ks < crit for _, ks, crit in self.observables)
 
 
-def _quartic_tensor_batch(A: np.ndarray, tensor: CorrelationTensor) -> np.ndarray:
-    S, N = A.shape
-    M1 = tensor.contraction_matrix(N)
-    D = (A[:, :, None] * np.conj(A)[:, None, :]).reshape(S, N * N)
-    F = (D @ M1).reshape(S, N, N)
-    return np.real(np.einsum("sn,snc,sc->s", np.conj(A), F, A))
-
-
 def observable_table(A: np.ndarray, tensor: CorrelationTensor) -> dict[str, np.ndarray]:
     """The four invariance observables evaluated on an ensemble (S, N)."""
     mode_idx = np.arange(1, A.shape[1] + 1)
     mod_sq = np.abs(A) ** 2
     mass = np.sum(mod_sq, axis=1)
+    W = cubic_term(A, tensor.contraction_matrix(A.shape[1]))
     return {
-        "l4_norm_fourth": _quartic_tensor_batch(A, tensor),
+        "l4_norm_fourth": np.einsum("sn,sn->s", np.conj(A), W).real,
         "re_a1": A[:, 0].real.copy(),
         "abs_a1_sq": mod_sq[:, 0],
         "mode_index": mod_sq @ mode_idx / np.where(mass > 0, mass, 1.0),
@@ -243,8 +239,6 @@ def _norm_samples(
             if norm_kind == "mixed":
                 out[lo + j] = mixed_norm_matrix(traj, dt_rec, params.p, params.q, rule)
             else:
-                from .norms import TimeWindow
-
                 S_t = traj.shape[0] - 1
                 coef = np.fft.ifft(traj[:-1].T, axis=1)
                 M_half = S_t // 4
@@ -342,8 +336,7 @@ def block_observable(mod_sq: np.ndarray, dt_rec: float, q: float = 6.0) -> np.nd
     mod_sq: |a_n(t)|^2 with shape (records, samples, N); trapezoid in time.
     """
     R, S, N = mod_sq.shape
-    tw = np.full(R, dt_rec)
-    tw[0] = tw[-1] = dt_rec / 2.0
+    tw = trapezoid_weights(R, dt_rec)
     best = np.zeros(S)
     for B, hi in _dyadic_blocks(N):
         l2sq = 2.0 * np.pi * mod_sq[:, :, B - 1 : hi - 1].sum(axis=2)
@@ -404,9 +397,7 @@ def run_block_observables(
     block_vals = np.empty(samples)
     avg_gsq = np.empty((samples, N))
     chunk = max(1, 2**23 // (256 * N))
-    records_per_window = int(round(1.0 / dt_rec)) + 1
-    tw = np.full(records_per_window, dt_rec)
-    tw[0] = tw[-1] = dt_rec / 2.0
+    tw = trapezoid_weights(int(round(1.0 / dt_rec)) + 1, dt_rec)
     for lo in range(0, samples, chunk):
         A0 = sample_free_batch(spec, rng.child(lo), min(chunk, samples - lo))
         _, records = evolve_batch(A0, 0.0, 1.0, config, rule=rule)

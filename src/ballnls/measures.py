@@ -23,7 +23,7 @@ import numpy as np
 from .basis import (
     CorrelationTensor,
     QuadratureRule,
-    eigenfunction_value,
+    eval_matrix,
     quartic_form,
 )
 from .dynamics import RadialState
@@ -156,19 +156,12 @@ def quartic_norm(state: RadialState, tensor: CorrelationTensor) -> float:
 
 def quartic_norm_quadrature(state: RadialState, rule: QuadratureRule) -> float:
     """Radial-quadrature path: 4 pi int_0^1 |phi(r)|^4 r^2 dr."""
-    if state.N == 0:
-        return 0.0
-    E = np.stack(
-        [eigenfunction_value(n, rule.nodes) for n in range(1, state.N + 1)]
-    )
-    u = state.coeffs @ E
-    return float(4.0 * np.pi * rule.integrate(np.abs(u) ** 4 * rule.nodes**2))
+    return float(_quartic_batch(state.coeffs[None, :], rule)[0])
 
 
 def _quartic_batch(coeffs: np.ndarray, rule: QuadratureRule) -> np.ndarray:
     """||phi_k||_{L^4}^4 for a (count, N) batch via quadrature."""
-    N = coeffs.shape[1]
-    E = np.stack([eigenfunction_value(n, rule.nodes) for n in range(1, N + 1)])
+    E = eval_matrix(coeffs.shape[1], rule.nodes)
     w = rule.weights * rule.nodes**2
     out = np.empty(coeffs.shape[0])
     step = max(1, 2**22 // max(rule.order, 1))
@@ -196,7 +189,6 @@ def sample_gibbs(
     if beta_q < 0:
         raise DomainError("beta_q must be >= 0")
     gen = rng.generator()
-    accepted = 0
     for attempt in range(1, max_attempts + 1):
         coeffs = spec.sigma * _standard_complex(gen, spec.N)
         state = RadialState(N=spec.N, coeffs=coeffs, time=0.0)
@@ -211,7 +203,7 @@ def sample_gibbs(
             )
     raise SamplingError(
         f"no acceptance in {max_attempts} attempts",
-        acceptance_rate=accepted / max_attempts,
+        acceptance_rate=0.0,
     )
 
 

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CorrelationTensor, QuadratureRule, TruncatedTensorView
+from .basis import (
+    CorrelationTensor,
+    QuadratureRule,
+    TruncatedTensorView,
+    eval_matrix,
+    trapezoid_weights,
+)
 from .dynamics import RadialState, Trajectory
 from .errors import DomainError, ResolutionError, UndefinedRatioError
 
@@ -114,11 +120,6 @@ def hs_norm(state: RadialState, s: float) -> float:
     return state.hs_weighted(s)
 
 
-def _eval_matrix(N: int, nodes: np.ndarray) -> np.ndarray:
-    n = np.arange(1, N + 1, dtype=float)[:, None]
-    return n * np.pi * np.sinc(n * nodes[None, :])
-
-
 def mixed_norm(
     traj: Trajectory, p: float, q: float, rule: QuadratureRule
 ) -> float:
@@ -146,10 +147,8 @@ def mixed_norm_matrix(
             f"sampling step {dt_rec:.3g} under-resolves mode {N} "
             f"(need <= {1.0 / (16.0 * N * N):.3g})"
         )
-    E = _eval_matrix(N, rule.nodes)
-    # trapezoid weights over the recorded window
-    tw = np.full(S, dt_rec)
-    tw[0] = tw[-1] = dt_rec / 2.0
+    E = eval_matrix(N, rule.nodes)
+    tw = trapezoid_weights(S, dt_rec)
     g = np.zeros(rule.order)
     step = max(1, 2**22 // max(rule.order, 1))
     for lo in range(0, S, step):
@@ -168,7 +167,7 @@ def mixed_norm_l2t(spec: SpaceTimeSpectrum, p: float, rule: QuadratureRule) -> f
     """L^p_x L^2_t norm straight from the spectrum (Plancherel in time)."""
     if p < 1:
         raise DomainError("p must be >= 1")
-    E = _eval_matrix(spec.N, rule.nodes)
+    E = eval_matrix(spec.N, rule.nodes)
     # int_0^1 |u(t,r)|^2 dt = sum_m |sum_n f_{n,m} e_n(r)|^2
     g = np.zeros(rule.order)
     step = max(1, 2**22 // max(rule.order, 1))
@@ -387,5 +386,5 @@ def lemma1_check(spec: SpaceTimeSpectrum, T: float) -> float:
     phases = np.exp(-2j * np.pi * np.outer(spec.m_grid, t))
     a_t = spec.values @ phases  # (N, G+1)
     l2sq = 2.0 * np.pi * np.sum(np.abs(a_t) ** 2, axis=0)
-    integral = np.trapezoid(l2sq, t)
+    integral = trapezoid_weights(G + 1, T / G) @ l2sq
     return float(integral / T / bound**2)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ballnls.basis import (
     CorrelationTensor,
@@ -10,8 +12,10 @@ from ballnls.basis import (
     correlation,
     correlation_quadrature,
     count_circle_representations,
+    cubic_term,
     eigenfunction_lp_norm,
     eigenfunction_value,
+    eval_matrix,
     gauss_legendre_rule,
     inner_product,
     max_circle_count,
@@ -20,6 +24,7 @@ from ballnls.basis import (
     sigma_sum,
 )
 from ballnls.errors import DomainError, ResolutionError
+from ballnls.experiments import observable_table
 
 
 class TestQuadrature:
@@ -77,6 +82,12 @@ class TestEigenfunctions:
         assert inner_product(2, 5) == 0.0
         assert inner_product(4, 4) == pytest.approx(2 * math.pi)
 
+    @pytest.mark.parametrize("N", [8, 32, 64])
+    def test_eval_matrix_stacks_eigenfunctions(self, N):
+        nodes = np.concatenate([[0.0], rule_for_modes(4 * N).nodes])
+        stacked = np.stack([eigenfunction_value(n, nodes) for n in range(1, N + 1)])
+        assert np.array_equal(eval_matrix(N, nodes), stacked)
+
 
 class TestCorrelation:
     def test_closed_form_vs_quadrature(self):
@@ -121,6 +132,11 @@ class TestCorrelationTensor:
         C = tensor.dense(6)
         assert C.shape == (6, 6, 6, 6)
         assert C[0, 3, 1, 2] == tensor.value(1, 4, 2, 3)
+        full = tensor.dense()
+        for N in (1, 3, 6):
+            assert np.array_equal(tensor.dense(N), full[:N, :N, :N, :N])
+        for idx in np.ndindex(full.shape):
+            assert full[idx] == tensor.value(*(i + 1 for i in idx))
 
     def test_cutoff_enforced(self, tensor):
         with pytest.raises(ResolutionError):
@@ -154,6 +170,36 @@ class TestCorrelationTensor:
     def test_sigma_sum_cutoff(self, tensor):
         with pytest.raises(ResolutionError):
             sigma_sum(1, 8, tensor)
+
+
+@pytest.fixture(scope="module")
+def tensor12():
+    return build_tensor(12)
+
+
+class TestCubicTerm:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        N=st.integers(1, 12),
+        S=st.integers(1, 5),
+        amp=st.floats(1e-3, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_einsum(self, tensor12, N, S, amp, seed):
+        gen = np.random.default_rng(seed)
+        A = amp * (gen.standard_normal((S, N)) + 1j * gen.standard_normal((S, N)))
+        W = cubic_term(A, tensor12.contraction_matrix(N))
+        ref = np.einsum("abcd,sb,sc,sd->sa", tensor12.dense(N), A, A.conj(), A)
+        np.testing.assert_allclose(
+            W, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max()
+        )
+        per_row = np.array([quartic_form(a, tensor12) for a in A])
+        for a, q in zip(A, per_row):
+            w = cubic_term(a[None, :], tensor12.contraction_matrix(N))[0]
+            assert q == pytest.approx(np.real(np.conj(a) @ w), rel=1e-12)
+        np.testing.assert_allclose(
+            observable_table(A, tensor12)["l4_norm_fourth"], per_row, rtol=1e-12
+        )
 
 
 class TestCircleCounts:
