@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 
 import numpy as np
 from scipy.integrate import quad
@@ -159,29 +159,14 @@ def inner_product(m: int, n: int) -> float:
     return EIGEN_NORM_SQ if m == n else 0.0
 
 
-def _correlation_k_values(n, n1, n2, n3):
-    """Frequencies and signs of the eight-cosine expansion of the product."""
-    s1, s2 = n - n1, n + n1
-    s3, s4 = n2 - n3, n2 + n3
-    ks = np.array(
-        [s1 - s3, s1 + s3, s1 - s4, s1 + s4, s2 - s3, s2 + s3, s2 - s4, s2 + s4],
-        dtype=float,
-    )
-    eps = np.array([1, 1, -1, -1, -1, -1, 1, 1], dtype=float)
-    return ks, eps
-
-
 def correlation(n: int, n1: int, n2: int, n3: int) -> float:
     """c(n,n1,n2,n3) = 4 pi int_0^1 prod sin(n_i pi r) / r^2 dr, closed form.
 
     Product-to-sum expansion into eight cosines (coefficient sum zero),
     then int_0^1 (cos(q r) - 1)/r^2 dr = (1 - cos q) - q Si(q) termwise.
     """
-    n, n1, n2, n3 = (_check_index(v) for v in (n, n1, n2, n3))
-    ks, eps = _correlation_k_values(n, n1, n2, n3)
-    q = np.abs(ks) * np.pi
-    si = sici(q)[0]
-    return float(4.0 * np.pi * np.sum(eps * ((1.0 - np.cos(q)) - q * si)) / 8.0)
+    index = [_check_index(v) for v in (n, n1, n2, n3)]
+    return float(_correlation_batch(np.array([index]))[0])
 
 
 def correlation_quadrature(
@@ -225,16 +210,29 @@ def _correlation_batch(tuples: np.ndarray) -> np.ndarray:
     return 4.0 * np.pi * ((eps * ((1.0 - np.cos(q)) - q * si)).sum(axis=1)) / 8.0
 
 
+def _canonical_tuples(n_max: int) -> np.ndarray:
+    """Sorted index tuples a <= b <= c <= d <= n_max in lexicographic order.
+
+    That is the order of combinations_with_replacement(range(1, n_max+1), 4):
+    pairs (a, b) and (c, d) in row-major triangle order, joined where b <= c.
+    """
+    a, b = np.triu_indices(n_max)
+    i, j = np.nonzero(b[:, None] <= a[None, :])
+    return np.stack([a[i], b[i], a[j], b[j]], axis=1) + 1
+
+
 @dataclass(frozen=True)
 class CorrelationTensor:
     """Fully symmetric quartic tensor c(n,n1,n2,n3), indices <= n_max.
 
-    Values are stored once per canonical (sorted) tuple.  ``bound_constant``
-    is the empirical C with |c| <= C * min(indices) over all stored tuples.
+    ``values`` holds one float64 per canonical (sorted) tuple, in the order
+    of _canonical_tuples(n_max), which is the cache order.
+    ``bound_constant`` is the empirical C with |c| <= C * min(indices) over
+    all stored tuples.
     """
 
     n_max: int
-    values: dict = field(repr=False)
+    values: np.ndarray = field(repr=False)
     bound_constant: float
     quad_order: int = 0
     _dense_cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -247,7 +245,15 @@ class CorrelationTensor:
             )
         if key[0] < 1:
             raise DomainError("indices must be >= 1")
-        return self.values[key]
+        # (a-1, b, c+1, d+2) is a 4-subset of {0, ..., n+2}; its rank among
+        # the lexicographically ordered subsets has this closed form
+        a, b, c, d = key
+        n = self.n_max
+        rank = (
+            math.comb(n + 3, 4) - 1 - math.comb(n + 3 - a, 4)
+            - math.comb(n + 2 - b, 3) - math.comb(n + 1 - c, 2) - (n - d)
+        )
+        return float(self.values[rank])
 
     def dense(self, N: int | None = None) -> np.ndarray:
         """Dense (N,N,N,N) array C[n-1,n1-1,n2-1,n3-1], cached per N."""
@@ -255,10 +261,10 @@ class CorrelationTensor:
         if N > self.n_max:
             raise ResolutionError(f"N={N} exceeds tensor cutoff {self.n_max}")
         if N not in self._dense_cache:
-            keys = np.array(list(self.values), dtype=np.int64)
+            keys = _canonical_tuples(self.n_max)
             inside = keys[:, 3] <= N
             idx = keys[inside].T - 1
-            vals = np.array(list(self.values.values()))[inside]
+            vals = self.values[inside]
             C = np.zeros((N, N, N, N))
             for p in permutations(range(4)):
                 C[tuple(idx[list(p)])] = vals
@@ -322,16 +328,14 @@ def build_tensor(n_max: int, rule: QuadratureRule | None = None) -> CorrelationT
 
     The closed-form sine-integral path fills the tensor; the quadrature
     rule, when given, only records its order for cache metadata (the
-    dual-path cross-check lives in the test suite and in correlation()).
+    dual-path cross-check against correlation_quadrature lives in the
+    test suite).
     """
     n_max = _check_index(n_max, "n_max")
-    canon = np.array(
-        list(combinations_with_replacement(range(1, n_max + 1), 4)), dtype=np.int64
-    )
-    vals = _correlation_batch(canon)
-    values = {tuple(int(i) for i in t): float(v) for t, v in zip(canon, vals)}
+    canon = _canonical_tuples(n_max)
+    values = _correlation_batch(canon)
     mins = canon[:, 0].astype(float)  # tuples are sorted ascending
-    bound_constant = float(np.max(np.abs(vals) / mins))
+    bound_constant = float(np.max(np.abs(values) / mins))
     return CorrelationTensor(
         n_max=n_max,
         values=values,
@@ -351,20 +355,25 @@ def cubic_term(A: np.ndarray, M1: np.ndarray) -> np.ndarray:
     return np.einsum("snc,sc->sn", F, A)
 
 
-def quartic_form(coeffs: np.ndarray, tensor: CorrelationTensor) -> float:
+def quartic_form(
+    coeffs: np.ndarray, tensor: CorrelationTensor
+) -> float | np.ndarray:
     """int_B |u|^4 dx = Re sum conj(a_n) w_n(a), by exact tensor contraction.
 
-    Real and non-negative up to a 1e-10 relative imaginary residue, which
+    A float for one coefficient vector, one value per row of a matrix.  Each
+    is real and non-negative up to a 1e-10 relative imaginary residue, which
     is checked and discarded.
     """
     a = np.asarray(coeffs, dtype=complex)
-    N = a.size
-    if N == 0:
-        return 0.0
-    q = np.conj(a) @ cubic_term(a[None, :], tensor.contraction_matrix(N))[0]
-    if abs(q.imag) > 1e-10 * max(abs(q), 1.0):
-        raise FloatingPointError(f"quartic form has imaginary residue {q.imag:.3e}")
-    return float(max(q.real, 0.0))
+    A = np.atleast_2d(a)
+    W = cubic_term(A, tensor.contraction_matrix(A.shape[1]))
+    q = np.einsum("sn,sn->s", np.conj(A), W)
+    bad = np.abs(q.imag) > 1e-10 * np.maximum(np.abs(q), 1.0)
+    if bad.any():
+        residue = q.imag[np.argmax(bad)]
+        raise FloatingPointError(f"quartic form has imaginary residue {residue:.3e}")
+    out = np.maximum(q.real, 0.0)
+    return float(out[0]) if a.ndim == 1 else out
 
 
 def sigma_sum(n: int, N2: int, tensor: CorrelationTensor) -> float:

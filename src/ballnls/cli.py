@@ -24,7 +24,6 @@ from .basis import build_tensor, rule_for_modes
 from .dynamics import (
     REFERENCE_N_ADVISORY,
     IntegratorConfig,
-    RadialState,
     Trajectory,
     default_dt,
     evolve,
@@ -282,24 +281,6 @@ def _load_or_build_tensor(n: int):
     return tensor, digest
 
 
-def _partial_trajectory(err: BlowUpError, config) -> Trajectory | None:
-    if err.partial_trajectory is None:
-        return None
-    times, records = err.partial_trajectory
-    coeffs = records[:, 0, :]
-    states = tuple(
-        RadialState(N=coeffs.shape[1], coeffs=row, time=float(t))
-        for t, row in zip(times, coeffs)
-    )
-    mass = 2.0 * np.pi * np.sum(np.abs(coeffs) ** 2, axis=1)
-    return Trajectory(
-        states=states,
-        mass_log=mass,
-        energy_log=np.full(len(states), np.nan),
-        config=config,
-    )
-
-
 def _cmd_evolve(cfg: dict) -> int:
     _require(cfg, "evolve", "n", "t_end", "out")
     N = cfg["n"]
@@ -336,8 +317,9 @@ def _cmd_evolve(cfg: dict) -> int:
     try:
         traj = evolve(state, cfg["t_end"], config, tensor=tensor)
     except BlowUpError as err:
-        partial = _partial_trajectory(err, config)
-        if partial is not None:
+        if err.partial_trajectory is not None:
+            times, records = err.partial_trajectory
+            partial = Trajectory.from_coeffs(times, records[:, 0, :])
             pio.write_trajectory(partial, cfg["out"] + ".partial")
             print(
                 f"blow-up: partial trajectory in {cfg['out']}.partial",
@@ -346,7 +328,7 @@ def _cmd_evolve(cfg: dict) -> int:
         raise
     pio.write_trajectory(traj, cfg["out"])
     _write_side_manifest(cfg["out"], "evolve", cfg, cfg["seed"], tensor_hash)
-    print(f"wrote {cfg['out']} ({len(traj.states)} records, N={N})")
+    print(f"wrote {cfg['out']} ({len(traj.times)} records, N={N})")
     return EXIT_OK
 
 

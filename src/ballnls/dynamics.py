@@ -22,7 +22,7 @@ Two integrators:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,13 +71,18 @@ class RadialState:
         object.__setattr__(self, "coeffs", coeffs)
 
     def mass(self) -> float:
-        return float(2.0 * np.pi * np.sum(np.abs(self.coeffs) ** 2))
+        return float(_mass(self.coeffs))
 
     def hs_weighted(self, s: float) -> float:
         n = np.arange(1, self.N + 1, dtype=float)
         return float(
             np.sqrt(2.0 * np.pi * np.sum(n ** (2 * s) * np.abs(self.coeffs) ** 2))
         )
+
+
+def _mass(coeffs) -> np.ndarray:
+    """2 pi sum_n |a_n|^2 along the last axis (one vector or one per row)."""
+    return 2.0 * np.pi * np.sum(np.abs(coeffs) ** 2, axis=-1)
 
 
 def default_dt(N: int) -> float:
@@ -104,39 +109,58 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly recorded states with aligned mass/energy logs."""
+    """Recorded coefficients and their conserved-quantity logs, as arrays.
 
-    states: tuple
+    ``times`` (R,) strictly increasing, ``coeffs`` (R, N) with row j at
+    times[j], ``mass_log`` and ``energy_log`` (R,); an energy log that was
+    not computed holds NaN.
+    """
+
+    times: np.ndarray
+    coeffs: np.ndarray
     mass_log: np.ndarray
     energy_log: np.ndarray
-    config: IntegratorConfig
 
     def __post_init__(self):
-        times = [s.time for s in self.states]
-        if len(times) > 1 and np.any(np.diff(times) <= 0):
+        R = len(self.times)
+        if (np.ndim(self.times), np.ndim(self.coeffs), len(self.coeffs)) != (1, 2, R):
+            raise DomainError("expected times (records,) and coeffs (records, N)")
+        if np.any(np.diff(self.times) <= 0):
             raise DomainError("recorded times must be strictly increasing")
-        if len(self.mass_log) != len(self.states) or len(self.energy_log) != len(
-            self.states
-        ):
+        if np.shape(self.mass_log) != (R,) or np.shape(self.energy_log) != (R,):
             raise DomainError("logs must align with recorded states")
+
+    @classmethod
+    def from_coeffs(cls, times, coeffs) -> "Trajectory":
+        """Records whose energy was not computed: mass logged, energy NaN."""
+        return cls(times, coeffs, _mass(coeffs), np.full(len(times), np.nan))
 
     @property
     def N(self) -> int:
-        return self.states[0].N
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.states])
+        return self.coeffs.shape[1]
 
     @property
     def dt_record(self) -> float:
-        if len(self.states) < 2:
+        """Uniform record spacing; ResolutionError when records are not uniform."""
+        if self.times.size < 2:
             return 0.0
-        return float(self.states[1].time - self.states[0].time)
+        steps = np.diff(self.times)
+        dt = float(steps[0])
+        # times t0 + j*dt are rounded to a few ulp of |t|
+        tol = 1e-9 * dt + 16 * np.finfo(float).eps * np.abs(self.times).max()
+        if np.max(np.abs(steps - dt)) > tol:
+            raise ResolutionError(
+                f"records are not uniform: steps {steps.min():.6g}..{steps.max():.6g}"
+            )
+        return dt
 
-    def coeff_matrix(self) -> np.ndarray:
-        """(samples, N) complex matrix of recorded coefficients."""
-        return np.stack([s.coeffs for s in self.states])
+    @property
+    def states(self) -> tuple:
+        """Per-record RadialState view, built on each access."""
+        return tuple(
+            RadialState(N=self.N, coeffs=row, time=float(t))
+            for t, row in zip(self.times, self.coeffs)
+        )
 
 
 def _collocation_ops(N: int, rule: QuadratureRule):
@@ -246,16 +270,28 @@ def _checked_state(prev: RadialState, coeffs: np.ndarray, time: float) -> Radial
 
 
 def conserved_quantities(
-    state: RadialState, tensor: CorrelationTensor
-) -> tuple[float, float]:
-    """(mass, energy) = (2 pi sum |a|^2, 2 pi^2 sum n^2|a|^2 + Q/4)."""
-    nsq = np.arange(1, state.N + 1, dtype=float) ** 2
-    mass = state.mass()
-    energy = float(
-        2.0 * np.pi**2 * np.sum(nsq * np.abs(state.coeffs) ** 2)
-        + 0.25 * quartic_form(state.coeffs, tensor)
-    )
-    return mass, energy
+    coeffs: np.ndarray,
+    tensor: CorrelationTensor | None = None,
+    rule: QuadratureRule | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(mass, energy) per row of a (records, N) coefficient matrix.
+
+    mass = 2 pi sum |a|^2 and energy = 2 pi^2 sum n^2 |a|^2 + Q/4, with the
+    quartic Q from the tensor when one is given and from the radial
+    quadrature otherwise (default rule: rule_for_modes(4 N)).
+    """
+    # measures imports RadialState from this module
+    from .measures import quartic_norm_quadrature
+
+    N = coeffs.shape[1]
+    if tensor is not None:
+        quartic = quartic_form(coeffs, tensor)
+    else:
+        rule = rule if rule is not None else rule_for_modes(4 * N)
+        quartic = quartic_norm_quadrature(coeffs, rule)
+    nsq = np.arange(1, N + 1, dtype=float) ** 2
+    kinetic = 2.0 * np.pi**2 * np.sum(nsq * np.abs(coeffs) ** 2, axis=1)
+    return _mass(coeffs), kinetic + 0.25 * quartic
 
 
 def evolve(
@@ -273,7 +309,7 @@ def evolve(
     """
     if t_end < state.time:
         raise DomainError("t_end must be >= state.time")
-    times, coeffs = evolve_batch(
+    times, records = evolve_batch(
         state.coeffs[None, :],
         state.time,
         t_end,
@@ -281,32 +317,8 @@ def evolve(
         tensor=tensor,
         rule=rule,
     )
-    return _trajectory_from_batch(times, coeffs[:, 0, :], config, tensor, rule)
-
-
-def _trajectory_from_batch(times, coeff_rows, config, tensor, rule):
-    states = tuple(
-        RadialState(N=coeff_rows.shape[1], coeffs=row, time=float(t))
-        for t, row in zip(times, coeff_rows)
-    )
-    mass_log = np.array([s.mass() for s in states])
-    if tensor is not None:
-        energy_log = np.array([conserved_quantities(s, tensor)[1] for s in states])
-    else:
-        from .measures import quartic_norm_quadrature
-
-        rule = rule if rule is not None else rule_for_modes(4 * coeff_rows.shape[1])
-        nsq = np.arange(1, coeff_rows.shape[1] + 1, dtype=float) ** 2
-        energy_log = np.array(
-            [
-                2.0 * np.pi**2 * np.sum(nsq * np.abs(s.coeffs) ** 2)
-                + 0.25 * quartic_norm_quadrature(s, rule)
-                for s in states
-            ]
-        )
-    return Trajectory(
-        states=states, mass_log=mass_log, energy_log=energy_log, config=config
-    )
+    coeffs = records[:, 0, :]
+    return Trajectory(times, coeffs, *conserved_quantities(coeffs, tensor, rule))
 
 
 def evolve_batch(
@@ -356,20 +368,25 @@ def evolve_batch(
 
     rec_times = [t0]
     rec_coeffs = [A.copy()]
-    mass_prev = 2.0 * np.pi * np.sum(np.abs(A) ** 2, axis=1)
+    mass_prev = _mass(A)
     t = t0
     try:
         for step in range(1, steps + 1):
             A = stepper(A, t)
             t = t0 + step * config.dt
             if step % rec_every == 0 or step == steps:
-                if not np.all(np.isfinite(A.view(float))):
-                    raise BlowUpError("non-finite coefficients during evolve")
-                mass_now = 2.0 * np.pi * np.sum(np.abs(A) ** 2, axis=1)
-                jump = np.abs(mass_now - mass_prev)
-                bad = mass_prev > 0
-                if np.any(jump[bad] > 0.01 * mass_prev[bad]):
-                    raise BlowUpError("mass jump exceeds 1% between records")
+                finite = np.isfinite(A.view(float)).all(axis=1)
+                if not finite.all():
+                    k = np.argmin(finite)
+                    raise BlowUpError(f"non-finite coefficients at t={t:g}, sample {k}")
+                mass_now = _mass(A)
+                jump = (mass_prev > 0) & (abs(mass_now - mass_prev) > 0.01 * mass_prev)
+                if jump.any():
+                    k = np.argmax(jump)
+                    raise BlowUpError(
+                        f"mass jump over 1% between records at t={t:g} in "
+                        f"sample {k}: mass ratio {mass_now[k] / mass_prev[k]:g}"
+                    )
                 mass_prev = mass_now
                 rec_times.append(t)
                 rec_coeffs.append(A.copy())

@@ -39,9 +39,9 @@ from .measures import (
 from .norms import (
     NormParams,
     SpaceTimeSpectrum,
-    TimeWindow,
     mixed_norm_l2t,
     mixed_norm_matrix,
+    spectrum_from_samples,
     synthesize_uniform,
     xsb_norm,
 )
@@ -239,13 +239,8 @@ def _norm_samples(
             if norm_kind == "mixed":
                 out[lo + j] = mixed_norm_matrix(traj, dt_rec, params.p, params.q, rule)
             else:
-                S_t = traj.shape[0] - 1
-                coef = np.fft.ifft(traj[:-1].T, axis=1)
-                M_half = S_t // 4
-                cols = np.arange(-M_half, M_half + 1) % S_t
-                spec = SpaceTimeSpectrum(
-                    N=N, M_half=M_half, values=coef[:, cols], window=TimeWindow()
-                )
+                # records close the window [0, 1]; drop the endpoint
+                spec = spectrum_from_samples(traj[:-1])
                 out[lo + j] = xsb_norm(spec, params.s, params.b)
     return out
 

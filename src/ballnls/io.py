@@ -10,22 +10,24 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from datetime import datetime, timezone
-from itertools import combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
 
 from .basis import CorrelationTensor
-from .dynamics import IntegratorConfig, RadialState, Trajectory
+from .dynamics import Trajectory
 from .errors import DomainError, StorageError
 
 ARTIFACT_VERSION = "1.0.0"
 SCHEMA_VERSION = 1
 TENSOR_MAGIC = b"BBNLS3D1"
 TENSOR_FORMAT_VERSION = 1
+TRAJ_MAGIC = b"BBNLSTRJ"
+TRAJ_FORMAT_VERSION = 2
 UNIT_TAG = "model-units-e2pi"  # exactly 16 bytes of ASCII
 CACHE_DIR_ENV = "BALLNLS_CACHE_DIR"
 
@@ -85,7 +87,6 @@ def default_cache_path(n_max: int, quad_order: int = 0) -> Path:
 
 def write_tensor_cache(tensor: CorrelationTensor, path) -> str:
     """Serialize; returns the hex digest of the payload."""
-    keys = list(combinations_with_replacement(range(1, tensor.n_max + 1), 4))
     body = bytearray()
     body += TENSOR_MAGIC
     body += struct.pack(
@@ -95,8 +96,7 @@ def write_tensor_cache(tensor: CorrelationTensor, path) -> str:
         tensor.quad_order,
         tensor.bound_constant,
     )
-    vals = np.array([tensor.values[k] for k in keys], dtype="<f8")
-    body += vals.tobytes()
+    body += tensor.values.astype("<f8").tobytes()
     digest = hashlib.sha256(bytes(body)).digest()
     atomic_write_bytes(path, bytes(body) + digest)
     return digest.hex()
@@ -117,40 +117,38 @@ def read_tensor_cache(path) -> CorrelationTensor:
     )
     if version != TENSOR_FORMAT_VERSION:
         raise StorageError(f"{path}: unsupported cache format version {version}")
-    keys = list(combinations_with_replacement(range(1, n_max + 1), 4))
     vals = np.frombuffer(body[28:], dtype="<f8")
-    if vals.size != len(keys):
-        raise StorageError(
-            f"{path}: expected {len(keys)} values, found {vals.size}"
-        )
+    expected = math.comb(n_max + 3, 4)
+    if vals.size != expected:
+        raise StorageError(f"{path}: expected {expected} values, found {vals.size}")
     return CorrelationTensor(
         n_max=int(n_max),
-        values={k: float(v) for k, v in zip(keys, vals)},
+        values=vals,
         bound_constant=float(bound_constant),
         quad_order=int(quad_order),
     )
 
 
 # ---------------------------------------------------------------------------
-# Trajectory file:
-#   u32 N | f64 dt_record | u64 sample count | 16-byte unit tag |
-#   coefficients per recorded time (complex interleaved f64) |
-#   mass log (f64 * count) | energy log (f64 * count).
+# Trajectory file, format 2:
+#   magic "BBNLSTRJ" | u32 format version | u32 N | u64 record count R |
+#   16-byte unit tag | times (f64 * R) | coefficients per record (complex
+#   interleaved f64, R * N) | mass log (f64 * R) | energy log (f64 * R).
+# The unversioned format 1 (no magic, no times) is rejected, not read.
+
+_TRAJ_HEADER = struct.Struct("<8sIIQ16s")
 
 
 def write_trajectory(traj: Trajectory, path) -> None:
-    A = traj.coeff_matrix()
-    count, N = A.shape
-    tag = UNIT_TAG.encode("ascii")
-    if len(tag) != 16:
-        raise StorageError("unit tag must be exactly 16 bytes")
-    body = bytearray()
-    body += struct.pack("<IdQ", N, traj.dt_record, count)
-    body += tag
-    body += np.ascontiguousarray(A, dtype="<c16").tobytes()
+    count, N = traj.coeffs.shape
+    body = _TRAJ_HEADER.pack(
+        TRAJ_MAGIC, TRAJ_FORMAT_VERSION, N, count, UNIT_TAG.encode("ascii")
+    )
+    body += np.asarray(traj.times, dtype="<f8").tobytes()
+    body += np.ascontiguousarray(traj.coeffs, dtype="<c16").tobytes()
     body += np.asarray(traj.mass_log, dtype="<f8").tobytes()
     body += np.asarray(traj.energy_log, dtype="<f8").tobytes()
-    atomic_write_bytes(path, bytes(body))
+    atomic_write_bytes(path, body)
 
 
 def read_trajectory(path) -> Trajectory:
@@ -158,34 +156,26 @@ def read_trajectory(path) -> Trajectory:
         raw = Path(path).read_bytes()
     except OSError as err:
         raise StorageError(f"cannot read trajectory {path}: {err}") from err
-    head = struct.calcsize("<IdQ")
-    if len(raw) < head + 16:
-        raise StorageError(f"{path}: truncated trajectory file")
-    N, dt_record, count = struct.unpack("<IdQ", raw[:head])
-    tag = raw[head : head + 16].decode("ascii", errors="replace")
+    if len(raw) < _TRAJ_HEADER.size or raw[:8] != TRAJ_MAGIC:
+        raise StorageError(
+            f"{path}: not a format-{TRAJ_FORMAT_VERSION} trajectory file "
+            "(unversioned format-1 files are not read)"
+        )
+    _, version, N, count, tag = _TRAJ_HEADER.unpack_from(raw)
+    if version != TRAJ_FORMAT_VERSION:
+        raise StorageError(f"{path}: unsupported trajectory format version {version}")
+    tag = tag.decode("ascii", errors="replace")
     if tag != UNIT_TAG:
         raise DomainError(
             f"{path}: unit tag {tag!r} does not match {UNIT_TAG!r}; refusing "
             "to reinterpret units"
         )
-    offset = head + 16
-    need = count * N * 16 + 2 * count * 8
-    if len(raw) != offset + need:
+    if len(raw) != _TRAJ_HEADER.size + count * (8 * 3 + 16 * N):
         raise StorageError(f"{path}: length inconsistent with header")
-    A = np.frombuffer(raw, dtype="<c16", count=count * N, offset=offset)
-    A = A.reshape(count, N)
-    offset += count * N * 16
-    mass = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-    energy = np.frombuffer(raw, dtype="<f8", count=count, offset=offset + count * 8)
-    dt = dt_record if dt_record > 0 else 1.0
-    states = tuple(
-        RadialState(N=int(N), coeffs=A[j].copy(), time=j * dt_record)
-        for j in range(count)
-    )
-    config = IntegratorConfig(dt=dt, dt_record=dt_record if dt_record > 0 else None)
-    return Trajectory(
-        states=states, mass_log=mass.copy(), energy_log=energy.copy(), config=config
-    )
+    body = np.frombuffer(raw, dtype="<f8", offset=_TRAJ_HEADER.size)
+    ends = np.cumsum([count, 2 * count * N, count])
+    times, coeffs, mass, energy = np.split(body, ends)
+    return Trajectory(times, coeffs.view("<c16").reshape(count, N), mass, energy)
 
 
 # ---------------------------------------------------------------------------

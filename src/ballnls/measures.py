@@ -154,9 +154,16 @@ def quartic_norm(state: RadialState, tensor: CorrelationTensor) -> float:
     return quartic_form(state.coeffs, tensor)
 
 
-def quartic_norm_quadrature(state: RadialState, rule: QuadratureRule) -> float:
-    """Radial-quadrature path: 4 pi int_0^1 |phi(r)|^4 r^2 dr."""
-    return float(_quartic_batch(state.coeffs[None, :], rule)[0])
+def quartic_norm_quadrature(
+    coeffs: np.ndarray, rule: QuadratureRule
+) -> float | np.ndarray:
+    """Radial-quadrature path: 4 pi int_0^1 |phi(r)|^4 r^2 dr.
+
+    A float for one coefficient vector, one value per row of a matrix.
+    """
+    a = np.asarray(coeffs, dtype=complex)
+    q = _quartic_batch(np.atleast_2d(a), rule)
+    return float(q[0]) if a.ndim == 1 else q
 
 
 def _quartic_batch(coeffs: np.ndarray, rule: QuadratureRule) -> np.ndarray:

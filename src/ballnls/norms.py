@@ -42,6 +42,7 @@ __all__ = [
     "mixed_norm_matrix",
     "mixed_norm_l2t",
     "spectrum_from_trajectory",
+    "spectrum_from_samples",
     "synthesize_uniform",
     "synthesize_trajectory",
     "xsb_norm",
@@ -125,14 +126,14 @@ def mixed_norm(
 ) -> float:
     """(4 pi int_0^1 (int |u|^q dt)^{p/q} r^2 dr)^{1/p} over the window.
 
-    Time integral: trapezoid on the recorded samples; q = inf is the max
+    Time integral: trapezoid on the recorded samples, which must be
+    uniformly spaced (ResolutionError otherwise); q = inf is the max
     over samples (a lower bound whose gap the sampling precondition keeps
     small).
     """
-    A = traj.coeff_matrix()
-    if A.shape[0] < 2:
+    if len(traj.times) < 2:
         raise ResolutionError("trajectory has fewer than 2 samples")
-    return mixed_norm_matrix(A, traj.dt_record, p, q, rule)
+    return mixed_norm_matrix(traj.coeffs, traj.dt_record, p, q, rule)
 
 
 def mixed_norm_matrix(
@@ -192,22 +193,31 @@ def _taper_weights(S: int, taper: str) -> np.ndarray:
 def spectrum_from_trajectory(
     traj: Trajectory, taper: str = "none", M_half: int | None = None
 ) -> SpaceTimeSpectrum:
-    """Discrete time-Fourier analysis of a_n(t) over a unit window."""
-    A = traj.coeff_matrix()
-    S, N = A.shape
+    """Discrete time-Fourier analysis of a_n(t) over a unit window.
+
+    The records must sample [t0, t0 + 1) uniformly, optionally closed by
+    the endpoint t0 + 1, which is dropped.
+    """
+    A = traj.coeffs
     times = traj.times
     dt_rec = traj.dt_record
+    S = len(times)
     if S < 2:
         raise ResolutionError("trajectory too short for spectral analysis")
     span = times[-1] - times[0]
     if abs(span - 1.0) < 1e-9 * S:
         # closed window [t0, t0+1]: drop the duplicate endpoint sample
         A = A[:-1]
-        S -= 1
     elif abs(span + dt_rec - 1.0) > 1e-9 * S:
         raise ResolutionError("trajectory must uniformly sample a unit window")
-    if np.max(np.abs(np.diff(times[: S + 1]) - dt_rec)) > 1e-9:
-        raise ResolutionError("trajectory samples are not uniform")
+    return spectrum_from_samples(A, taper, M_half, t0=float(times[0]))
+
+
+def spectrum_from_samples(
+    A: np.ndarray, taper: str = "none", M_half: int | None = None, t0: float = 0.0
+) -> SpaceTimeSpectrum:
+    """Spectrum of S uniform samples A[j] = a(t0 + j/S), j < S, of a unit window."""
+    S, N = A.shape
     if M_half is None:
         M_half = S // 4
     if S < 4 * M_half:
@@ -223,12 +233,11 @@ def spectrum_from_trajectory(
     # ifft computes (1/S) sum_j x_j e(+m j / S)
     coef = np.fft.ifft(A.T * w[None, :], axis=1)
     cols = np.arange(-M_half, M_half + 1) % S
-    values = coef[:, cols]
     return SpaceTimeSpectrum(
         N=N,
         M_half=int(M_half),
-        values=values,
-        window=TimeWindow(t0=float(times[0]), length=1.0, taper=taper),
+        values=coef[:, cols],
+        window=TimeWindow(t0=t0, length=1.0, taper=taper),
     )
 
 
@@ -246,22 +255,9 @@ def synthesize_uniform(spec: SpaceTimeSpectrum, samples: int) -> np.ndarray:
 
 def synthesize_trajectory(spec: SpaceTimeSpectrum, samples: int) -> Trajectory:
     """Trajectory sampling the spectrum's window (energy log not defined)."""
-    from .dynamics import IntegratorConfig
-
     A = synthesize_uniform(spec, samples)
-    dt = 1.0 / samples
-    states = tuple(
-        RadialState(N=spec.N, coeffs=A[j], time=spec.window.t0 + j * dt)
-        for j in range(samples)
-    )
-    mass_log = 2.0 * np.pi * np.sum(np.abs(A) ** 2, axis=1)
-    energy_log = np.full(samples, np.nan)
-    return Trajectory(
-        states=states,
-        mass_log=mass_log,
-        energy_log=energy_log,
-        config=IntegratorConfig(dt=dt, dt_record=dt),
-    )
+    times = spec.window.t0 + np.arange(samples) * (1.0 / samples)
+    return Trajectory.from_coeffs(times, A)
 
 
 def xsb_norm(spec: SpaceTimeSpectrum, s: float, b: float) -> float:

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -137,6 +138,9 @@ class TestCorrelationTensor:
             assert np.array_equal(tensor.dense(N), full[:N, :N, :N, :N])
         for idx in np.ndindex(full.shape):
             assert full[idx] == tensor.value(*(i + 1 for i in idx))
+        tensor12 = build_tensor(12)
+        for key in combinations_with_replacement(range(1, 13), 4):
+            assert tensor12.value(*key) == correlation(*key), key
 
     def test_cutoff_enforced(self, tensor):
         with pytest.raises(ResolutionError):
@@ -150,14 +154,11 @@ class TestCorrelationTensor:
 
     def test_quartic_form_matches_quadrature(self, tensor):
         from ballnls.measures import quartic_norm_quadrature
-        from ballnls.dynamics import RadialState
 
         gen = np.random.default_rng(3)
         a = 0.3 * (gen.standard_normal(8) + 1j * gen.standard_normal(8))
         exact = quartic_form(a, tensor)
-        quad = quartic_norm_quadrature(
-            RadialState(N=8, coeffs=a, time=0.0), rule_for_modes(32)
-        )
+        quad = quartic_norm_quadrature(a, rule_for_modes(32))
         assert exact == pytest.approx(quad, rel=1e-10)
         assert exact > 0
 

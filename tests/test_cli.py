@@ -74,6 +74,33 @@ class TestEvolve:
         ) == 0
         assert "advisory" in capsys.readouterr().err
 
+    def test_blow_up_saves_partial_trajectory(self, tmp_path, capsys):
+        out = tmp_path / "hot.traj"
+        assert run(
+            "evolve", "--n", 4, "--t-end", 1, "--dt", 0.01, "--dt-record", 0.01,
+            "--coupling", 1e6, "--integrator", "reference", "--out", out,
+        ) == 3
+        err = capsys.readouterr().err
+        assert "at t=0.01 in sample 0: mass ratio" in err
+        partial = pio.read_trajectory(str(out) + ".partial")
+        assert partial.times[0] == 0.0
+        assert np.all(np.isnan(partial.energy_log))
+        assert np.array_equal(
+            partial.mass_log, 2 * np.pi * np.sum(np.abs(partial.coeffs) ** 2, axis=1)
+        )
+        assert not out.exists()
+
+    def test_off_grid_endpoint_kept_and_refused_by_norms(self, tmp_path, capsys):
+        out = tmp_path / "tail.traj"
+        assert run(
+            "evolve", "--n", 2, "--t-end", 1, "--dt", 0.1, "--dt-record", 0.3,
+            "--integrator", "collocation", "--coupling", 0, "--out", out,
+        ) == 0
+        times = pio.read_trajectory(out).times
+        assert times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0], abs=1e-12)
+        assert run("norms", "--in", out, "--kind", "mixed") == 2
+        assert "records are not uniform" in capsys.readouterr().err
+
     def test_unknown_integrator(self, tmp_path):
         assert run(
             "evolve", "--n", 4, "--t-end", 0.1, "--dt-record", 0.05,

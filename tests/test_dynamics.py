@@ -76,7 +76,7 @@ class TestConservation:
 
     def test_conserved_quantities_components(self, tensor):
         state = small_state(seed=5)
-        mass, energy = conserved_quantities(state, tensor)
+        (mass,), (energy,) = conserved_quantities(state.coeffs[None, :], tensor)
         assert mass == pytest.approx(state.mass())
         kinetic = 2.0 * np.pi**2 * np.sum(
             np.arange(1, 9) ** 2 * np.abs(state.coeffs) ** 2
@@ -143,7 +143,7 @@ class TestEvolveBookkeeping:
         times, records = evolve_batch(
             np.stack([state.coeffs, 2 * state.coeffs]), 0.0, 0.02, cfg, tensor=tensor
         )
-        assert np.allclose(records[:, 0, :], traj.coeff_matrix())
+        assert np.allclose(records[:, 0, :], traj.coeffs)
         assert len(times) == len(traj.states)
 
     def test_trajectory_properties(self, tensor):
@@ -155,7 +155,7 @@ class TestEvolveBookkeeping:
         )
         assert traj.N == 8
         assert traj.dt_record == pytest.approx(2e-3)
-        assert traj.coeff_matrix().shape == (6, 8)
+        assert traj.coeffs.shape == (6, 8)
 
     def test_under_resolved_collocation_rejected(self):
         with pytest.raises(ResolutionError):
@@ -188,6 +188,6 @@ class TestGibbsScaleRun:
         state = sample_free(FreeMeasureSpec.derived(8), RngStream(seed=21))
         cfg = IntegratorConfig(method="reference_rk4", dt=1e-3, dt_record=0.05)
         traj = evolve(state, 0.5, cfg, tensor=tensor)
-        assert np.all(np.isfinite(traj.coeff_matrix().view(float)))
+        assert np.all(np.isfinite(traj.coeffs.view(float)))
         drift = np.abs(traj.mass_log - traj.mass_log[0]).max() / traj.mass_log[0]
         assert drift < 1e-8

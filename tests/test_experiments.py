@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ballnls.basis import build_tensor
+from ballnls.basis import build_tensor, rule_for_modes
+from ballnls.dynamics import IntegratorConfig, RadialState, evolve
 from ballnls.errors import DomainError, FitDegenerateError, PrecisionError
 from ballnls.experiments import (
     block_observable,
@@ -17,7 +18,13 @@ from ballnls.experiments import (
     run_invariance,
     run_tail_experiment,
 )
-from ballnls.measures import FreeMeasureSpec, RngStream, sample_free
+from ballnls.measures import (
+    FreeMeasureSpec,
+    RngStream,
+    sample_free,
+    sample_free_batch,
+)
+from ballnls.norms import NormParams, mixed_norm, spectrum_from_trajectory, xsb_norm
 
 
 class TestKS:
@@ -112,6 +119,29 @@ class TestTails:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             run_tail_experiment("L9", N=4, samples=10_000, rng=RngStream(seed=0))
+
+    @pytest.mark.parametrize("kind", ["mixed", "xsb"])
+    def test_space_time_samples_match_single_evolves(self, kind):
+        from ballnls.experiments import _norm_samples
+
+        N, dt = 2, 1e-3
+        A = sample_free_batch(FreeMeasureSpec.derived(N), RngStream(seed=5), 3)
+        rule = rule_for_modes(4 * N)
+        params = NormParams(s=0.5, b=0.45, p=4.0, q=4.0)
+        values = _norm_samples(kind, A, rule, params, dt, coupling=1.0)
+        # the sampling steps _norm_samples documents for each kind
+        dt_rec = 1.0 / (16 * N * N) if kind == "mixed" else 1.0 / (8 * N * N + 4)
+        steps = round(dt_rec / dt)
+        cfg = IntegratorConfig(
+            method="collocation_split", dt=dt_rec / steps, dt_record=dt_rec
+        )
+        for a, value in zip(A, values):
+            traj = evolve(RadialState(N=N, coeffs=a), 1.0, cfg, rule=rule)
+            if kind == "mixed":
+                expected = mixed_norm(traj, params.p, params.q, rule)
+            else:
+                expected = xsb_norm(spectrum_from_trajectory(traj), params.s, params.b)
+            assert value == pytest.approx(expected, rel=1e-12)
 
 
 class TestBlocks:

@@ -96,7 +96,7 @@ class TestGibbs:
         spec = FreeMeasureSpec.derived(6)
         state = sample_free(spec, RngStream(seed=12))
         assert quartic_norm(state, tensor) == pytest.approx(
-            quartic_norm_quadrature(state, rule_for_modes(24)), rel=1e-10
+            quartic_norm_quadrature(state.coeffs, rule_for_modes(24)), rel=1e-10
         )
 
     def test_sampler_budget_exhaustion(self, tensor):

@@ -90,6 +90,22 @@ class TestMixedNorm:
         expected = math.sqrt(float(tw @ traj.mass_log))
         assert val == pytest.approx(expected, abs=1e-8)
 
+    def test_non_uniform_records_rejected(self):
+        # records at 0, 4/64 and the off-grid endpoint 5/64; the trapezoid
+        # with weight 4/64 everywhere gave 0.2659 instead of sqrt(mass * span)
+        state = RadialState(N=1, coeffs=np.array([0.3 + 0.1j]), time=0.0)
+        cfg = IntegratorConfig(
+            method="collocation_split", dt=1 / 64, dt_record=4 / 64, coupling=0.0
+        )
+        traj = evolve(state, 5 / 64, cfg)
+        assert np.array_equal(traj.times, [0.0, 4 / 64, 5 / 64])
+        with pytest.raises(ResolutionError):
+            mixed_norm(traj, 2.0, 2.0, rule_for_modes(4))
+        uniform = evolve(state, 8 / 64, cfg)
+        assert mixed_norm(uniform, 2.0, 2.0, rule_for_modes(4)) == pytest.approx(
+            math.sqrt(uniform.mass_log[0] * 8 / 64), rel=1e-12
+        )
+
     def test_q_infinity_is_max(self):
         traj = unit_window_trajectory(N=1, coupling=0.0, samples=64)
         rule = rule_for_modes(8)
@@ -135,7 +151,7 @@ class TestSpectrum:
         base = random_spectrum(2, seed=11)
         traj = synthesize_trajectory(base, 4 * base.M_half)
         spec = spectrum_from_trajectory(traj, M_half=base.M_half)
-        A = traj.coeff_matrix()
+        A = traj.coeffs
         time_avg = np.mean(np.abs(A) ** 2, axis=0)
         spectral = np.sum(np.abs(spec.values) ** 2, axis=1)
         assert np.allclose(spectral, time_avg, atol=1e-10)
@@ -143,7 +159,7 @@ class TestSpectrum:
     def test_parseval_linear_flow(self):
         traj = unit_window_trajectory(N=2, coupling=0.0)
         spec = spectrum_from_trajectory(traj)
-        A = traj.coeff_matrix()[:-1]  # open window
+        A = traj.coeffs[:-1]  # open window
         time_avg = np.mean(np.abs(A) ** 2, axis=0)
         spectral = np.sum(np.abs(spec.values) ** 2, axis=1)
         assert np.allclose(spectral, time_avg, atol=1e-10)
