@@ -80,6 +80,11 @@ class RadialState:
         )
 
 
+# Largest real or imaginary part evolve_batch accepts at a record: squares
+# and their sums in _mass stay far from float overflow.
+_MAX_PART = 1e150
+
+
 def _mass(coeffs) -> np.ndarray:
     """2 pi sum_n |a_n|^2 along the last axis (one vector or one per row)."""
     return 2.0 * np.pi * np.sum(np.abs(coeffs) ** 2, axis=-1)
@@ -375,10 +380,17 @@ def evolve_batch(
             A = stepper(A, t)
             t = t0 + step * config.dt
             if step % rec_every == 0 or step == steps:
-                finite = np.isfinite(A.view(float)).all(axis=1)
-                if not finite.all():
-                    k = np.argmin(finite)
-                    raise BlowUpError(f"non-finite coefficients at t={t:g}, sample {k}")
+                # NaN, inf, or a part whose square could overflow in _mass
+                parts = np.abs(A.view(float))
+                bounded = (parts <= _MAX_PART).all(axis=1)
+                if not bounded.all():
+                    k = np.argmin(bounded)
+                    what = (
+                        f"coefficient over {_MAX_PART:g}"
+                        if np.isfinite(parts[k]).all()
+                        else "non-finite coefficients"
+                    )
+                    raise BlowUpError(f"{what} at t={t:g}, sample {k}")
                 mass_now = _mass(A)
                 jump = (mass_prev > 0) & (abs(mass_now - mass_prev) > 0.01 * mass_prev)
                 if jump.any():

@@ -481,7 +481,8 @@ def run_convergence_ladder(
             )
         except BlowUpError as err:
             raise BlowUpError(
-                f"ladder run N={N} blew up", last_state=err.last_state
+                f"ladder run N={N} blew up: {err}",
+                partial_trajectory=err.partial_trajectory,
             ) from err
         runs[N] = records[:, 0, :]
     n_weights = {

@@ -60,6 +60,10 @@ class RngStream:
     stream_id: int = 0
     algorithm_id: str = RNG_ALGORITHM
 
+    def __post_init__(self):
+        if int(self.seed) < 0 or int(self.stream_id) < 0:
+            raise DomainError("seed and stream_id must be >= 0")
+
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(
             entropy=int(self.seed), spawn_key=(int(self.stream_id),)
@@ -125,9 +129,12 @@ class GibbsSample:
 
 def _standard_complex(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard complex Gaussians with E|g|^2 = 1."""
-    return (
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    ) / np.sqrt(2.0)
+    return _complex_gaussian(rng.standard_normal(shape), rng.standard_normal(shape))
+
+
+def _complex_gaussian(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(x + iy)/sqrt(2) from real and imaginary standard normals."""
+    return (x + 1j * y) / np.sqrt(2.0)
 
 
 def sample_free(spec: FreeMeasureSpec, rng: RngStream) -> RadialState:
@@ -137,16 +144,134 @@ def sample_free(spec: FreeMeasureSpec, rng: RngStream) -> RadialState:
     return RadialState(N=spec.N, coeffs=coeffs, time=0.0)
 
 
+# Rows per chunk of sample_free_batch: its draw buffer and temporaries stay
+# a few MB at N = 64.
+_FREE_CHUNK = 1024
+
+
 def sample_free_batch(
     spec: FreeMeasureSpec, rng: RngStream, count: int
 ) -> np.ndarray:
-    """(count, N) coefficient matrix; row k uses stream rng.child(k)."""
+    """(count, N) coefficient matrix; row k uses stream rng.child(k).
+
+    Row k is bit-identical to ``sample_free(spec, rng.child(k)).coeffs``.
+    Rather than a SeedSequence, a PCG64 and a Generator per row, the rows'
+    PCG64 states are computed a chunk at a time (``_pcg64_states``) and set
+    on one reused generator.
+    """
     if count < 1:
         raise DomainError("count must be >= 1")
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
     out = np.empty((count, spec.N), dtype=complex)
-    for k in range(count):
-        out[k] = spec.sigma * _standard_complex(rng.child(k).generator(), spec.N)
+    buf = np.empty((min(count, _FREE_CHUNK), 2, spec.N))
+    for lo in range(0, count, _FREE_CHUNK):
+        rows = buf[: min(_FREE_CHUNK, count - lo)]
+        states = _pcg64_states(int(rng.seed), int(rng.stream_id) + lo, len(rows))
+        for row, (lcg, inc) in zip(rows, states):
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": lcg, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            # N real parts, then N imaginary parts: _standard_complex's order
+            gen.standard_normal(out=row)
+        x, y = rows[:, 0], rows[:, 1]
+        out[lo : lo + len(rows)] = spec.sigma * _complex_gaussian(x, y)
     return out
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): pool size, hash and
+# mix constants.  PCG64 seeds its 128-bit LCG from generate_state(4, uint64).
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _uint32_words(n: int) -> list[int]:
+    """SeedSequence's coercion of an int >= 0: little-endian 32-bit words."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _spawn_entropy(seed: int, first: int, count: int):
+    """Yield entropy matrices for spawn keys first .. first+count-1, in order.
+
+    Each row holds the words that ``SeedSequence(entropy=seed,
+    spawn_key=(key,))`` mixes: the seed's words padded with zeros to the
+    pool size, then the key's words.  Keys with more words give longer
+    rows, so the keys come in one matrix per word count.
+    """
+    run = _uint32_words(seed)
+    run += [0] * (_POOL_SIZE - len(run))
+    dtype = np.uint64 if first + count <= 2**64 else object
+    keys = np.arange(count, dtype=dtype) + first
+    start, width = 0, len(_uint32_words(first))
+    while start < count:
+        stop = min(count, (1 << 32 * width) - first)
+        entropy = np.empty((stop - start, len(run) + width), dtype=np.uint32)
+        entropy[:, : len(run)] = run
+        for j in range(width):
+            entropy[:, len(run) + j] = (keys[start:stop] >> (32 * j)) & _MASK32
+        yield entropy
+        start, width = stop, width + 1
+
+
+def _generate_state(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence.generate_state(4, np.uint64)`` for each row of entropy.
+
+    The hash-mix of SeedSequence on columns of uint32 words; every row has
+    more words than the pool, as any spawned SeedSequence does.
+    """
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ np.uint32(h)
+        h = (h * _MULT_A) & _MASK32
+        value = value * np.uint32(h)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return value ^ (value >> 16)
+
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, entropy.shape[1]):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    h = _INIT_B
+    words = np.empty((entropy.shape[0], 8), dtype=np.uint64)
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(h)
+        h = (h * _MULT_B) & _MASK32
+        value = value * np.uint32(h)
+        words[:, i] = value ^ (value >> 16)
+    return words[:, 0::2] | (words[:, 1::2] << 32)
+
+
+def _pcg64_states(seed: int, first: int, count: int) -> list[tuple[int, int]]:
+    """(state, inc) of ``PCG64(SeedSequence(entropy=seed, spawn_key=(key,)))``
+    for keys first .. first+count-1, as ``PCG64.state`` reports them."""
+    states = []
+    for entropy in _spawn_entropy(seed, first, count):
+        for s_hi, s_lo, i_hi, i_lo in _generate_state(entropy).tolist():
+            # pcg_setseq_128_srandom_r: two LCG steps around adding the seed
+            inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
+            lcg = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
+            states.append((lcg, inc))
+    return states
 
 
 def quartic_norm(state: RadialState, tensor: CorrelationTensor) -> float:
@@ -171,11 +296,19 @@ def _quartic_batch(coeffs: np.ndarray, rule: QuadratureRule) -> np.ndarray:
     E = eval_matrix(coeffs.shape[1], rule.nodes)
     w = rule.weights * rule.nodes**2
     out = np.empty(coeffs.shape[0])
-    step = max(1, 2**22 // max(rule.order, 1))
+    # ~2^19 nodal values per chunk (256 rows at N = 64) keep the temporaries
+    # cache-sized.  Real GEMMs skip promoting the real E to complex; the
+    # strided .real/.imag views are copied, or matmul bypasses BLAS.
+    step = max(1, 2**19 // max(rule.order, 1))
     for lo in range(0, coeffs.shape[0], step):
-        u = coeffs[lo : lo + step] @ E
-        u2 = u.real**2 + u.imag**2
-        out[lo : lo + step] = 4.0 * np.pi * (u2**2 @ w)
+        a = coeffs[lo : lo + step]
+        u2 = np.ascontiguousarray(a.real) @ E
+        u2 *= u2
+        im = np.ascontiguousarray(a.imag) @ E
+        im *= im
+        u2 += im
+        u2 *= u2
+        out[lo : lo + step] = 4.0 * np.pi * (u2 @ w)
     return out
 
 

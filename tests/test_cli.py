@@ -184,6 +184,13 @@ class TestExperiments:
             "experiment", "tails", "--n", 4, "--samples", 10, "--seed", 0
         ) == 2
 
+    def test_negative_seed_exit_2(self, capsys):
+        assert run(
+            "experiment", "tails", "--norm-kind", "L4_x", "--n", 4,
+            "--samples", 10000, "--seed", -1,
+        ) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_ladder_duplicate_levels_exit_2(self):
         assert run("experiment", "ladder", "--n-values", "8,8,16") == 2
 

@@ -172,11 +172,12 @@ class TestEvolveBookkeeping:
 
 
 class TestBlowUp:
+    @pytest.mark.filterwarnings("error")
     def test_huge_amplitude_raises(self, tensor):
         coeffs = np.full(8, 100.0 + 0j)
         state = RadialState(N=8, coeffs=coeffs, time=0.0)
         cfg = IntegratorConfig(method="reference_rk4", dt=1e-2, dt_record=1e-2)
-        with pytest.raises(BlowUpError) as info:
+        with pytest.raises(BlowUpError, match=r"at t=0\.01, sample 0") as info:
             evolve(state, 1.0, cfg, tensor=tensor)
         assert info.value.partial_trajectory is not None
         times, records = info.value.partial_trajectory

@@ -5,7 +5,12 @@ import pytest
 
 from ballnls.basis import build_tensor, rule_for_modes
 from ballnls.dynamics import IntegratorConfig, RadialState, evolve
-from ballnls.errors import DomainError, FitDegenerateError, PrecisionError
+from ballnls.errors import (
+    BlowUpError,
+    DomainError,
+    FitDegenerateError,
+    PrecisionError,
+)
 from ballnls.experiments import (
     block_observable,
     chaos_observable,
@@ -208,6 +213,16 @@ class TestLadder:
     def test_s_range(self):
         with pytest.raises(DomainError):
             run_convergence_ladder(seed=0, N_values=(4, 8), s=0.6, t_end=0.1)
+
+    def test_blow_up_keeps_partial_trajectory(self):
+        with pytest.raises(BlowUpError, match="ladder run N=4") as info:
+            run_convergence_ladder(
+                seed=0, N_values=(4, 8), s=0.2, t_end=0.125, coupling=1e8,
+                record_points=4,
+            )
+        times, records = info.value.partial_trajectory
+        assert times[0] == 0.0
+        assert records.shape[1:] == (1, 4)
 
     def test_decreasing_with_positive_exponent(self):
         ladder = run_convergence_ladder(

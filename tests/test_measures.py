@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from ballnls.basis import build_tensor, rule_for_modes
+from ballnls.basis import build_tensor, eval_matrix, rule_for_modes
 from ballnls.errors import DomainError, SamplingError
 from ballnls.measures import (
+    _FREE_CHUNK,
     DEFAULT_BETA_Q,
     FreeMeasureSpec,
     RngStream,
+    _quartic_batch,
     chaos_moment_ratio,
     quartic_norm,
     quartic_norm_quadrature,
@@ -36,6 +38,11 @@ class TestRngStream:
     def test_algorithm_id(self):
         assert RngStream(seed=0).algorithm_id == "pcg64-seedseq"
 
+    @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (0, -1)])
+    def test_negative_keys_rejected(self, seed, stream_id):
+        with pytest.raises(DomainError):
+            RngStream(seed, stream_id)
+
 
 class TestFreeMeasure:
     def test_derived_sigma(self):
@@ -61,7 +68,53 @@ class TestFreeMeasure:
         spec = FreeMeasureSpec.derived(5)
         batch = sample_free_batch(spec, RngStream(seed=4), 3)
         single = sample_free(spec, RngStream(seed=4).child(1))
-        assert np.allclose(batch[1], single.coeffs)
+        assert np.array_equal(batch[1], single.coeffs)
+
+
+class TestFreeBatchExact:
+    """Every row of sample_free_batch is the one-stream draw, bit for bit."""
+
+    @staticmethod
+    def check(N, seed, stream_id, count):
+        spec = FreeMeasureSpec.derived(N)
+        rng = RngStream(seed, stream_id)
+        batch = sample_free_batch(spec, rng, count)
+        assert batch.shape == (count, N)
+        for k in range(count):
+            assert np.array_equal(batch[k], sample_free(spec, rng.child(k)).coeffs), k
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
+    @pytest.mark.parametrize("N", [1, 5, 64])
+    def test_seeds(self, seed, N):
+        self.check(N, seed, 0, 3)
+
+    @pytest.mark.parametrize(
+        "count", [1, _FREE_CHUNK - 1, _FREE_CHUNK, _FREE_CHUNK + 1]
+    )
+    def test_counts_around_chunk(self, count):
+        self.check(5, 11, 0, count)
+
+    @pytest.mark.parametrize("seed", [3, 2**64 + 3])
+    def test_keys_crossing_word_boundaries(self, seed):
+        # a chunk whose spawn keys go from one 32-bit word to two, and
+        # from two to three
+        self.check(5, seed, 2**32 - _FREE_CHUNK // 2, _FREE_CHUNK + 3)
+        self.check(1, seed, 2**64 - 2, 4)
+
+
+class TestQuarticBatch:
+    @pytest.mark.parametrize("N", [1, 8])
+    def test_matches_per_row_quadrature(self, N):
+        rule = rule_for_modes(4 * N)
+        chunk = 2**19 // rule.order
+        E = eval_matrix(N, rule.nodes)
+        w = rule.weights * rule.nodes**2
+        A = sample_free_batch(FreeMeasureSpec.derived(N), RngStream(seed=8), 2 * chunk + 1)
+        got = _quartic_batch(A, rule)
+        expected = [4.0 * np.pi * np.sum(w * np.abs(a @ E) ** 4) for a in A]
+        assert got == pytest.approx(expected, rel=1e-13)
+        # a row's value does not depend on where the chunks cut the batch
+        assert np.array_equal(got[chunk:], _quartic_batch(A[chunk:], rule))
 
 
 class TestGibbs:
