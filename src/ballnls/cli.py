@@ -95,7 +95,7 @@ _OPTIONS = {
         ("integrator", _STR, "reference", "reference | collocation"),
         ("seed", _INT, 0, "master seed"),
         ("measure", _STR, "free", "free | gibbs initial data"),
-        ("preset", _STR, "derived", "sigma preset: derived | paper-literal"),
+        ("preset", _STR, "derived", "sigma preset: derived | paper"),
         ("beta_q", _FLOAT, 0.25, "quartic inverse temperature (gibbs)"),
         ("coupling", _FLOAT, 1.0, "nonlinear coupling strength"),
         ("out", _STR, None, "trajectory output path (required)"),
@@ -105,7 +105,7 @@ _OPTIONS = {
         ("samples", _INT, 2000, "ensemble size"),
         ("t_compare", _FLOAT, 0.5, "comparison time"),
         ("beta_q", _FLOAT, 0.25, "quartic inverse temperature"),
-        ("preset", _STR, "derived", "sigma preset"),
+        ("preset", _STR, "derived", "sigma preset: derived | paper"),
         ("dt", _FLOAT, 1e-3, "integrator step"),
         ("seed", _INT, 0, "master seed"),
         ("out_json", _STR, None, "report path"),
@@ -175,7 +175,13 @@ def _resolve(command: str, args, config_file_values: dict) -> dict:
     for dest, typ, default, _help in _OPTIONS[command]:
         value = default
         if dest in config_file_values:
-            value = typ(config_file_values[dest])
+            text = config_file_values[dest]
+            try:
+                value = typ(text)
+            except ValueError as err:
+                raise UsageError(
+                    f"config file {args.config}: bad value {text!r} for {dest!r}"
+                ) from err
         cli_value = getattr(args, dest, None)
         if cli_value is not None:
             value = cli_value
@@ -307,11 +313,7 @@ def _cmd_evolve(cfg: dict) -> int:
     if cfg["measure"] == "free":
         state = sample_free(spec, rng)
     elif cfg["measure"] == "gibbs":
-        if tensor is None:
-            tensor_for_sampling, _ = _load_or_build_tensor(N)
-        else:
-            tensor_for_sampling = tensor
-        state = sample_gibbs(spec, cfg["beta_q"], rng, tensor_for_sampling).state
+        state = sample_gibbs(spec, cfg["beta_q"], rng).state
     else:
         raise UsageError(f"unknown measure {cfg['measure']!r}")
     try:

@@ -31,7 +31,6 @@ from .basis import (
     QuadratureRule,
     cubic_term,
     eval_matrix,
-    gauss_legendre_rule,
     quartic_form,
     rule_for_modes,
 )
@@ -73,15 +72,9 @@ class RadialState:
     def mass(self) -> float:
         return float(_mass(self.coeffs))
 
-    def hs_weighted(self, s: float) -> float:
-        n = np.arange(1, self.N + 1, dtype=float)
-        return float(
-            np.sqrt(2.0 * np.pi * np.sum(n ** (2 * s) * np.abs(self.coeffs) ** 2))
-        )
 
-
-# Largest real or imaginary part evolve_batch accepts at a record: squares
-# and their sums in _mass stay far from float overflow.
+# Largest real or imaginary part _check_record accepts: squares and their
+# sums in _mass stay far from float overflow.
 _MAX_PART = 1e150
 
 
@@ -92,6 +85,8 @@ def _mass(coeffs) -> np.ndarray:
 
 def default_dt(N: int) -> float:
     """dt = min(1e-3, 0.1/(2 pi N^2)) so linear phases stay resolved."""
+    if N < 1:
+        raise DomainError("N must be >= 1")
     return min(1e-3, 0.1 / (2.0 * np.pi * N * N))
 
 
@@ -99,7 +94,6 @@ def default_dt(N: int) -> float:
 class IntegratorConfig:
     method: str = "reference_rk4"
     dt: float = 1e-4
-    collocation_nodes: int | None = None
     coupling: float = 1.0
     dt_record: float | None = None
 
@@ -180,20 +174,6 @@ def _collocation_ops(N: int, rule: QuadratureRule):
     return eval_matrix(N, rule.nodes), P
 
 
-def _collocation_rule(N: int, config: IntegratorConfig) -> QuadratureRule:
-    nodes = config.collocation_nodes
-    if nodes is not None and nodes < 8 * N:
-        raise ResolutionError(
-            f"collocation needs >= {8 * N} nodes for N={N}, got {nodes}"
-        )
-    if nodes is None:
-        # |u|^2 u sin(n pi r) carries frequencies up to 4N
-        return rule_for_modes(4 * N)
-    degree = 8
-    panels = max(4, -(-int(nodes) // degree))
-    return gauss_legendre_rule(panels, degree)
-
-
 def nonlinear_coefficient(
     state: RadialState, n: int, tensor: CorrelationTensor
 ) -> complex:
@@ -230,18 +210,78 @@ def _strang_batch(A, dt, E, P, nsq, coupling):
     return A * half
 
 
+def _stepper(
+    N: int,
+    config: IntegratorConfig,
+    tensor: CorrelationTensor | None,
+    rule: QuadratureRule | None,
+):
+    """stepper(A, t): one step of config.method for a (samples, N) batch."""
+    nsq = np.arange(1, N + 1, dtype=float) ** 2
+    if config.method == "reference_rk4":
+        if tensor is None:
+            raise DomainError("reference integrator requires a correlation tensor")
+        M1 = tensor.contraction_matrix(N)
+        return lambda A, t: _rk4_batch(A, t, config.dt, M1, nsq, config.coupling)
+    # |u|^2 u sin(n pi r) carries frequencies up to 4N
+    rule = rule if rule is not None else rule_for_modes(4 * N)
+    if rule.order < 8 * N:
+        raise ResolutionError(
+            f"rule with {rule.order} nodes violates the 8-nodes-per-"
+            f"oscillation bound for N={N}"
+        )
+    E, P = _collocation_ops(N, rule)
+    return lambda A, t: _strang_batch(A, config.dt, E, P, nsq, config.coupling)
+
+
+def _check_record(A: np.ndarray, mass_prev: np.ndarray, t: float) -> np.ndarray:
+    """The mass of each row of A, after checking the rows for blow-up.
+
+    BlowUpError on a non-finite part, a part over _MAX_PART (before _mass
+    squares it) or a mass more than 1 % from mass_prev.
+    """
+    parts = np.abs(A.view(float))
+    bounded = (parts <= _MAX_PART).all(axis=1)
+    if not bounded.all():
+        k = np.argmin(bounded)
+        what = (
+            f"coefficient over {_MAX_PART:g}"
+            if np.isfinite(parts[k]).all()
+            else "non-finite coefficients"
+        )
+        raise BlowUpError(f"{what} at t={t:g}, sample {k}")
+    mass_now = _mass(A)
+    jump = (mass_prev > 0) & (abs(mass_now - mass_prev) > 0.01 * mass_prev)
+    if jump.any():
+        k = np.argmax(jump)
+        raise BlowUpError(
+            f"mass jump over 1% between records at t={t:g} in "
+            f"sample {k}: mass ratio {mass_now[k] / mass_prev[k]:g}"
+        )
+    return mass_now
+
+
+def _step(
+    state: RadialState,
+    config: IntegratorConfig,
+    tensor: CorrelationTensor | None,
+    rule: QuadratureRule | None,
+) -> RadialState:
+    """One step from state, checked like an evolve_batch record."""
+    A = state.coeffs[None, :]
+    stepped = _stepper(state.N, config, tensor, rule)(A, state.time)
+    time = state.time + config.dt
+    _check_record(stepped, _mass(A), time)
+    return RadialState(N=state.N, coeffs=stepped[0], time=time)
+
+
 def step_reference(
     state: RadialState, config: IntegratorConfig, tensor: CorrelationTensor
 ) -> RadialState:
     """One RK4 step of the coefficient ODE (rotating frame, exact tensor)."""
     if config.method != "reference_rk4":
         raise DomainError("config.method must be reference_rk4")
-    nsq = np.arange(1, state.N + 1, dtype=float) ** 2
-    M1 = tensor.contraction_matrix(state.N)
-    A = _rk4_batch(
-        state.coeffs[None, :], state.time, config.dt, M1, nsq, config.coupling
-    )
-    return _checked_state(state, A[0], state.time + config.dt)
+    return _step(state, config, tensor, None)
 
 
 def step_collocation(
@@ -250,28 +290,7 @@ def step_collocation(
     """One Strang splitting step (exact phases + pointwise nonlinear gauge)."""
     if config.method != "collocation_split":
         raise DomainError("config.method must be collocation_split")
-    rule = rule if rule is not None else _collocation_rule(state.N, config)
-    if rule.order < 8 * state.N:
-        raise ResolutionError(
-            f"rule with {rule.order} nodes violates the 8-nodes-per-"
-            f"oscillation bound for N={state.N}"
-        )
-    nsq = np.arange(1, state.N + 1, dtype=float) ** 2
-    E, P = _collocation_ops(state.N, rule)
-    A = _strang_batch(state.coeffs[None, :], config.dt, E, P, nsq, config.coupling)
-    return _checked_state(state, A[0], state.time + config.dt)
-
-
-def _checked_state(prev: RadialState, coeffs: np.ndarray, time: float) -> RadialState:
-    if not np.all(np.isfinite(coeffs.view(float))):
-        raise BlowUpError("non-finite coefficients", last_state=prev)
-    new = RadialState(N=prev.N, coeffs=coeffs, time=time)
-    m0, m1 = prev.mass(), new.mass()
-    if m0 > 0 and abs(m1 - m0) > 0.01 * m0:
-        raise BlowUpError(
-            f"mass jump {abs(m1 - m0) / m0:.2%} in one step", last_state=prev
-        )
-    return new
+    return _step(state, config, None, rule)
 
 
 def conserved_quantities(
@@ -355,21 +374,7 @@ def evolve_batch(
         if abs(rec_every * config.dt - config.dt_record) > 1e-9 * config.dt_record:
             raise DomainError("dt_record must be an integer multiple of dt")
 
-    nsq = np.arange(1, N + 1, dtype=float) ** 2
-    if config.method == "reference_rk4":
-        if tensor is None:
-            raise DomainError("reference integrator requires a correlation tensor")
-        M1 = tensor.contraction_matrix(N)
-        stepper = lambda A, t: _rk4_batch(A, t, config.dt, M1, nsq, config.coupling)
-    else:
-        rule = rule if rule is not None else _collocation_rule(N, config)
-        if rule.order < 8 * N:
-            raise ResolutionError(
-                f"rule with {rule.order} nodes violates the 8-nodes-per-"
-                f"oscillation bound for N={N}"
-            )
-        E, P = _collocation_ops(N, rule)
-        stepper = lambda A, t: _strang_batch(A, config.dt, E, P, nsq, config.coupling)
+    stepper = _stepper(N, config, tensor, rule)
 
     rec_times = [t0]
     rec_coeffs = [A.copy()]
@@ -380,26 +385,7 @@ def evolve_batch(
             A = stepper(A, t)
             t = t0 + step * config.dt
             if step % rec_every == 0 or step == steps:
-                # NaN, inf, or a part whose square could overflow in _mass
-                parts = np.abs(A.view(float))
-                bounded = (parts <= _MAX_PART).all(axis=1)
-                if not bounded.all():
-                    k = np.argmin(bounded)
-                    what = (
-                        f"coefficient over {_MAX_PART:g}"
-                        if np.isfinite(parts[k]).all()
-                        else "non-finite coefficients"
-                    )
-                    raise BlowUpError(f"{what} at t={t:g}, sample {k}")
-                mass_now = _mass(A)
-                jump = (mass_prev > 0) & (abs(mass_now - mass_prev) > 0.01 * mass_prev)
-                if jump.any():
-                    k = np.argmax(jump)
-                    raise BlowUpError(
-                        f"mass jump over 1% between records at t={t:g} in "
-                        f"sample {k}: mass ratio {mass_now[k] / mass_prev[k]:g}"
-                    )
-                mass_prev = mass_now
+                mass_prev = _check_record(A, mass_prev, t)
                 rec_times.append(t)
                 rec_coeffs.append(A.copy())
     except BlowUpError as err:

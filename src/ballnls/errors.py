@@ -45,13 +45,11 @@ class SamplingError(RuntimeFailure):
 class BlowUpError(RuntimeFailure):
     """Non-finite state or mass jump during integration.
 
-    Carries the last finite state and any partial trajectory so callers
-    can persist diagnostics.
+    Carries any partial trajectory so callers can persist diagnostics.
     """
 
-    def __init__(self, message, last_state=None, partial_trajectory=None):
+    def __init__(self, message, partial_trajectory=None):
         super().__init__(message)
-        self.last_state = last_state
         self.partial_trajectory = partial_trajectory
 
 

@@ -371,6 +371,8 @@ def run_block_observables(
     """Free-measure ensembles evolved over a unit window, Lemma-7/8 style."""
     if samples < 1000:
         raise DomainError("block observables need samples >= 10^3")
+    if min(n2_values) < 1:
+        raise DomainError(f"block sizes n2 must be >= 1, got {n2_values}")
     if 2 * max(n2_values) - 1 > N:
         raise DomainError(
             f"N={N} too small for n2 blocks {n2_values} (need N >= "

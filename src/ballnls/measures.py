@@ -20,12 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import (
-    CorrelationTensor,
-    QuadratureRule,
-    eval_matrix,
-    quartic_form,
-)
+from .basis import QuadratureRule, eval_matrix, rule_for_modes
 from .dynamics import RadialState
 from .errors import DomainError, PrecisionError, SamplingError
 
@@ -38,7 +33,6 @@ __all__ = [
     "sample_free_batch",
     "sample_gibbs",
     "sample_gibbs_batch",
-    "quartic_norm",
     "quartic_norm_quadrature",
     "chaos_moment_ratio",
 ]
@@ -274,11 +268,6 @@ def _pcg64_states(seed: int, first: int, count: int) -> list[tuple[int, int]]:
     return states
 
 
-def quartic_norm(state: RadialState, tensor: CorrelationTensor) -> float:
-    """int_B |phi|^4 dx = sum a_p conj(a_q) a_r conj(a_s) c(p,q,r,s)."""
-    return quartic_form(state.coeffs, tensor)
-
-
 def quartic_norm_quadrature(
     coeffs: np.ndarray, rule: QuadratureRule
 ) -> float | np.ndarray:
@@ -316,34 +305,22 @@ def sample_gibbs(
     spec: FreeMeasureSpec,
     beta_q: float,
     rng: RngStream,
-    tensor: CorrelationTensor,
     max_attempts: int = 10_000,
 ) -> GibbsSample:
-    """Rejection sampling from the Gibbs measure.
+    """One Gibbs draw: the one-row case of sample_gibbs_batch.
 
-    Draw phi ~ free measure, accept with probability
-    exp(-beta_q ||phi||_4^4) (a valid density bound since the weight is
-    <= 1).  Raises SamplingError with the running acceptance rate when the
-    attempt budget is exhausted.
+    Draws from stream rng itself (rng.child(0)) with the quadrature quartic
+    of rule_for_modes(4 N).  Raises SamplingError when max_attempts draws
+    are all rejected.
     """
-    if beta_q < 0:
-        raise DomainError("beta_q must be >= 0")
-    gen = rng.generator()
-    for attempt in range(1, max_attempts + 1):
-        coeffs = spec.sigma * _standard_complex(gen, spec.N)
-        state = RadialState(N=spec.N, coeffs=coeffs, time=0.0)
-        qn = quartic_norm(state, tensor)
-        exponent = -beta_q * qn
-        if gen.uniform() < np.exp(exponent):
-            return GibbsSample(
-                state=state,
-                quartic_norm=qn,
-                weight_exponent=exponent,
-                attempts=attempt,
-            )
-    raise SamplingError(
-        f"no acceptance in {max_attempts} attempts",
-        acceptance_rate=0.0,
+    coeffs, quartics, rate = sample_gibbs_batch(
+        spec, beta_q, rng, rule_for_modes(4 * spec.N), 1, max_rounds=max_attempts
+    )
+    return GibbsSample(
+        state=RadialState(N=spec.N, coeffs=coeffs[0], time=0.0),
+        quartic_norm=float(quartics[0]),
+        weight_exponent=-beta_q * float(quartics[0]),
+        attempts=round(1.0 / rate),
     )
 
 

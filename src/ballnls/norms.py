@@ -118,7 +118,10 @@ class TripleNormBound:
 
 def hs_norm(state: RadialState, s: float) -> float:
     """(2 pi sum n^{2s} |a_n|^2)^{1/2}."""
-    return state.hs_weighted(s)
+    n = np.arange(1, state.N + 1, dtype=float)
+    return float(
+        np.sqrt(2.0 * np.pi * np.sum(n ** (2 * s) * np.abs(state.coeffs) ** 2))
+    )
 
 
 def mixed_norm(

@@ -46,7 +46,7 @@ def test_criterion_01_conservation():
     N = 16
     tensor = build_tensor(N)
     spec = FreeMeasureSpec.derived(N)
-    state = sample_gibbs(spec, 0.25, RngStream(seed=101), tensor).state
+    state = sample_gibbs(spec, 0.25, RngStream(seed=101)).state
     config = IntegratorConfig(method="reference_rk4", dt=1e-4, dt_record=0.1)
     traj = evolve(state, 1.0, config, tensor=tensor)
     mass_drift = np.max(np.abs(traj.mass_log / traj.mass_log[0] - 1.0))

@@ -5,8 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ballnls.cli
 from ballnls import io as pio
-from ballnls.cli import main
+from ballnls.cli import _OPTIONS, main
+from ballnls.measures import FreeMeasureSpec
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 @pytest.fixture(autouse=True)
@@ -100,6 +104,20 @@ class TestEvolve:
         assert times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0], abs=1e-12)
         assert run("norms", "--in", out, "--kind", "mixed") == 2
         assert "records are not uniform" in capsys.readouterr().err
+
+    def test_zero_modes_exit_2(self, tmp_path, capsys):
+        assert run(
+            "evolve", "--n", 0, "--t-end", 0.01, "--out", tmp_path / "z.traj"
+        ) == 2
+        assert "N must be >= 1" in capsys.readouterr().err
+
+    def test_help_names_only_known_presets(self):
+        for command, options in _OPTIONS.items():
+            for dest, _typ, _default, help_text in options:
+                if dest == "preset":
+                    names = help_text.split(":", 1)[1].split("|")
+                    for name in names:
+                        FreeMeasureSpec.from_preset(name.strip(), 4)
 
     def test_unknown_integrator(self, tmp_path):
         assert run(
@@ -222,3 +240,41 @@ class TestConfigFile:
         snap = manifest["config_snapshot"]
         assert snap["n"] == 4
         assert snap["t_end"] == 0.05
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            (("evolve", "--t-end", 0.01, "--out", "x.traj"), "n", "abc"),
+            (("experiment", "blocks"), "samples", "1e3"),
+        ],
+    )
+    def test_bad_value_type_exit_2(self, tmp_path, capsys, command, key, value):
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"{key} = {value}\n")
+        assert run("--config", config, *command) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and repr(key) in err
+
+
+class TestBenchHooks:
+    """The names and results that bench/tracer.py wraps and reads."""
+
+    def test_gibbs_evolve_under_tracer(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH))
+        from tracer import Tracer
+
+        spans = {}
+        for integrator in ("reference", "collocation"):
+            argv = (
+                "evolve", "--n", 4, "--t-end", 0.002, "--dt", 1e-3,
+                "--measure", "gibbs", "--integrator", integrator,
+                "--out", tmp_path / f"{integrator}.traj",
+            )
+            with Tracer() as tracer:
+                assert ballnls.cli.main([str(a) for a in argv]) == 0
+            assert tracer.counts["measures.sample_gibbs.attempts"] >= 1
+            spans[integrator] = {span[0] for span in tracer.spans}
+        # the reference run wrote a tensor cache; the collocation run ignores it
+        assert "io.write_tensor_cache" in spans["reference"]
+        assert "io.read_tensor_cache" not in spans["collocation"]
+        assert "basis.build_tensor" not in spans["collocation"]

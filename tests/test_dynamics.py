@@ -183,6 +183,21 @@ class TestBlowUp:
         times, records = info.value.partial_trajectory
         assert records.shape[2] == 8
 
+    # the step functions run evolve_batch's record check on their one step
+    @pytest.mark.filterwarnings("error")
+    def test_huge_amplitude_reference_step_raises(self, tensor):
+        state = RadialState(N=8, coeffs=np.full(8, 100.0 + 0j), time=0.0)
+        cfg = IntegratorConfig(method="reference_rk4", dt=1e-2)
+        with pytest.raises(BlowUpError, match=r"at t=0\.01, sample 0"):
+            step_reference(state, cfg, tensor)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_amplitude_collocation_step_raises(self):
+        state = RadialState(N=8, coeffs=np.full(8, 100.0 + 0j), time=0.0)
+        cfg = IntegratorConfig(method="collocation_split", dt=1e-2)
+        with pytest.raises(BlowUpError, match=r"at t=0\.01 in sample 0"):
+            step_collocation(state, cfg)
+
 
 class TestGibbsScaleRun:
     def test_free_sample_stays_bounded(self, tensor):

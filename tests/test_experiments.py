@@ -18,6 +18,7 @@ from ballnls.experiments import (
     ks_critical_value,
     ks_statistic,
     observable_table,
+    run_block_observables,
     run_convergence_ladder,
     run_embedding_study,
     run_invariance,
@@ -175,6 +176,12 @@ class TestBlocks:
         tensor = build_tensor(8)
         with pytest.raises(DomainError):
             chaos_observable(np.ones((2, 8)), N2=8, tensor=tensor, n_top=4)
+
+    @pytest.mark.parametrize("n2_values", [(0,), (0, 4), (-2, 4)])
+    def test_block_size_below_one_rejected(self, n2_values):
+        # an empty block would give a chaos median of 0
+        with pytest.raises(DomainError, match="n2 must be >= 1"):
+            run_block_observables(N=8, samples=1000, n2_values=n2_values)
 
 
 class TestLadder:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ballnls.basis import build_tensor, eval_matrix, rule_for_modes
+from ballnls.basis import build_tensor, eval_matrix, quartic_form, rule_for_modes
 from ballnls.errors import DomainError, SamplingError
 from ballnls.measures import (
     _FREE_CHUNK,
@@ -12,7 +12,6 @@ from ballnls.measures import (
     RngStream,
     _quartic_batch,
     chaos_moment_ratio,
-    quartic_norm,
     quartic_norm_quadrature,
     sample_free,
     sample_free_batch,
@@ -122,17 +121,17 @@ class TestGibbs:
     def tensor(self):
         return build_tensor(6)
 
-    def test_weight_is_exp_of_quartic(self, tensor):
+    def test_weight_is_exp_of_quartic(self):
         spec = FreeMeasureSpec.derived(6)
-        sample = sample_gibbs(spec, DEFAULT_BETA_Q, RngStream(seed=1), tensor)
+        sample = sample_gibbs(spec, DEFAULT_BETA_Q, RngStream(seed=1))
         assert sample.weight_exponent == pytest.approx(
             -DEFAULT_BETA_Q * sample.quartic_norm
         )
         assert sample.quartic_norm > 0
 
-    def test_beta_zero_equals_free(self, tensor):
+    def test_beta_zero_equals_free(self):
         spec = FreeMeasureSpec.derived(6)
-        gibbs = sample_gibbs(spec, 0.0, RngStream(seed=8), tensor)
+        gibbs = sample_gibbs(spec, 0.0, RngStream(seed=8))
         free = sample_free(spec, RngStream(seed=8))
         assert np.allclose(gibbs.state.coeffs, free.coeffs)
 
@@ -148,20 +147,20 @@ class TestGibbs:
     def test_quartic_paths_agree(self, tensor):
         spec = FreeMeasureSpec.derived(6)
         state = sample_free(spec, RngStream(seed=12))
-        assert quartic_norm(state, tensor) == pytest.approx(
+        assert quartic_form(state.coeffs, tensor) == pytest.approx(
             quartic_norm_quadrature(state.coeffs, rule_for_modes(24)), rel=1e-10
         )
 
-    def test_sampler_budget_exhaustion(self, tensor):
+    def test_sampler_budget_exhaustion(self):
         # enormous amplitudes make acceptance essentially impossible
         spec = FreeMeasureSpec(N=6, sigma=np.full(6, 50.0))
         with pytest.raises(SamplingError) as info:
-            sample_gibbs(spec, 5.0, RngStream(seed=1), tensor, max_attempts=20)
+            sample_gibbs(spec, 5.0, RngStream(seed=1), max_attempts=20)
         assert info.value.acceptance_rate is not None
 
-    def test_negative_beta_rejected(self, tensor):
+    def test_negative_beta_rejected(self):
         with pytest.raises(DomainError):
-            sample_gibbs(FreeMeasureSpec.derived(4), -1.0, RngStream(seed=0), tensor)
+            sample_gibbs(FreeMeasureSpec.derived(4), -1.0, RngStream(seed=0))
 
 
 class TestChaosMoments:
