@@ -323,13 +323,11 @@ class TruncatedTensorView:
         return C
 
 
-def build_tensor(n_max: int, rule: QuadratureRule | None = None) -> CorrelationTensor:
+def build_tensor(n_max: int) -> CorrelationTensor:
     """Populate all canonical tuples with entries <= n_max.
 
-    The closed-form sine-integral path fills the tensor; the quadrature
-    rule, when given, only records its order for cache metadata (the
-    dual-path cross-check against correlation_quadrature lives in the
-    test suite).
+    The closed-form sine-integral path fills the tensor (the dual-path
+    cross-check against correlation_quadrature lives in the test suite).
     """
     n_max = _check_index(n_max, "n_max")
     canon = _canonical_tuples(n_max)
@@ -337,10 +335,7 @@ def build_tensor(n_max: int, rule: QuadratureRule | None = None) -> CorrelationT
     mins = canon[:, 0].astype(float)  # tuples are sorted ascending
     bound_constant = float(np.max(np.abs(values) / mins))
     return CorrelationTensor(
-        n_max=n_max,
-        values=values,
-        bound_constant=bound_constant,
-        quad_order=0 if rule is None else rule.order,
+        n_max=n_max, values=values, bound_constant=bound_constant
     )
 
 

@@ -71,16 +71,6 @@ _FLOAT = float
 _STR = str
 
 
-def _bool(text):
-    if isinstance(text, bool):
-        return text
-    if text.lower() in ("1", "true", "yes"):
-        return True
-    if text.lower() in ("0", "false", "no"):
-        return False
-    raise argparse.ArgumentTypeError(f"not a boolean: {text!r}")
-
-
 _OPTIONS = {
     "tensor-build": [
         ("n_max", _INT, None, "tensor index cutoff (required)"),
@@ -170,22 +160,35 @@ def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
         parser.add_argument(flag, dest=dest, type=typ, default=None, help=help_text)
 
 
-def _resolve(command: str, args, config_file_values: dict) -> dict:
+def _typed(command: str, values: dict, source: str) -> dict:
+    """Every option of command: its entry in values, read as text and
+    converted to the option's type, or its default when the entry is
+    missing or None.
+
+    UsageError naming source and the key when an entry does not convert.
+    """
     resolved = {}
     for dest, typ, default, _help in _OPTIONS[command]:
-        value = default
-        if dest in config_file_values:
-            text = config_file_values[dest]
+        value = values.get(dest)
+        if value is None:
+            value = default
+        else:
             try:
-                value = typ(text)
+                value = typ(str(value))
             except ValueError as err:
                 raise UsageError(
-                    f"config file {args.config}: bad value {text!r} for {dest!r}"
+                    f"{source}: bad value {value!r} for {dest!r}"
                 ) from err
+        resolved[dest] = value
+    return resolved
+
+
+def _resolve(command: str, args, config_file_values: dict) -> dict:
+    resolved = _typed(command, config_file_values, f"config file {args.config}")
+    for dest in resolved:
         cli_value = getattr(args, dest, None)
         if cli_value is not None:
-            value = cli_value
-        resolved[dest] = value
+            resolved[dest] = cli_value
     return resolved
 
 
@@ -567,7 +570,7 @@ def _cmd_replay(args) -> int:
     command = manifest["command"]
     if command not in _DISPATCH:
         raise UsageError(f"manifest names unknown command {command!r}")
-    cfg = dict(manifest["config_snapshot"])
+    cfg = _typed(command, manifest["config_snapshot"], f"manifest {args.manifest}")
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -26,14 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (
-    CorrelationTensor,
-    QuadratureRule,
-    cubic_term,
-    eval_matrix,
-    quartic_form,
-    rule_for_modes,
-)
+from .basis import CorrelationTensor, cubic_term, eval_matrix, rule_for_modes
 from .errors import BlowUpError, DomainError, ResolutionError
 
 __all__ = [
@@ -162,12 +155,15 @@ class Trajectory:
         )
 
 
-def _collocation_ops(N: int, rule: QuadratureRule):
+def _collocation_ops(N: int):
     """(E, P): u(nodes) = a @ E and a = (|u|^2 u ...) @ P.T style projection.
 
-    E[n-1, j] = e_n(r_j); P[n-1, j] = 2 sin(n pi r_j) r_j w_j so that
-    (P @ u)_n = <u, e_n>/||e_n||^2 without ever dividing by r.
+    The nodes are rule_for_modes(4 N): |u|^2 u sin(n pi r) carries
+    frequencies up to 4N.  E[n-1, j] = e_n(r_j); P[n-1, j] = 2 sin(n pi
+    r_j) r_j w_j so that (P @ u)_n = <u, e_n>/||e_n||^2 without ever
+    dividing by r.
     """
+    rule = rule_for_modes(4 * N)
     n = np.arange(1, N + 1, dtype=float)[:, None]
     r = rule.nodes[None, :]
     P = 2.0 * np.sin(np.pi * n * r) * (rule.nodes * rule.weights)[None, :]
@@ -210,12 +206,7 @@ def _strang_batch(A, dt, E, P, nsq, coupling):
     return A * half
 
 
-def _stepper(
-    N: int,
-    config: IntegratorConfig,
-    tensor: CorrelationTensor | None,
-    rule: QuadratureRule | None,
-):
+def _stepper(N: int, config: IntegratorConfig, tensor: CorrelationTensor | None):
     """stepper(A, t): one step of config.method for a (samples, N) batch."""
     nsq = np.arange(1, N + 1, dtype=float) ** 2
     if config.method == "reference_rk4":
@@ -223,14 +214,7 @@ def _stepper(
             raise DomainError("reference integrator requires a correlation tensor")
         M1 = tensor.contraction_matrix(N)
         return lambda A, t: _rk4_batch(A, t, config.dt, M1, nsq, config.coupling)
-    # |u|^2 u sin(n pi r) carries frequencies up to 4N
-    rule = rule if rule is not None else rule_for_modes(4 * N)
-    if rule.order < 8 * N:
-        raise ResolutionError(
-            f"rule with {rule.order} nodes violates the 8-nodes-per-"
-            f"oscillation bound for N={N}"
-        )
-    E, P = _collocation_ops(N, rule)
+    E, P = _collocation_ops(N)
     return lambda A, t: _strang_batch(A, config.dt, E, P, nsq, config.coupling)
 
 
@@ -255,21 +239,18 @@ def _check_record(A: np.ndarray, mass_prev: np.ndarray, t: float) -> np.ndarray:
     if jump.any():
         k = np.argmax(jump)
         raise BlowUpError(
-            f"mass jump over 1% between records at t={t:g} in "
-            f"sample {k}: mass ratio {mass_now[k] / mass_prev[k]:g}"
+            f"mass jump over 1% at t={t:g}, sample {k}: "
+            f"mass ratio {mass_now[k] / mass_prev[k]:g}"
         )
     return mass_now
 
 
 def _step(
-    state: RadialState,
-    config: IntegratorConfig,
-    tensor: CorrelationTensor | None,
-    rule: QuadratureRule | None,
+    state: RadialState, config: IntegratorConfig, tensor: CorrelationTensor | None
 ) -> RadialState:
     """One step from state, checked like an evolve_batch record."""
     A = state.coeffs[None, :]
-    stepped = _stepper(state.N, config, tensor, rule)(A, state.time)
+    stepped = _stepper(state.N, config, tensor)(A, state.time)
     time = state.time + config.dt
     _check_record(stepped, _mass(A), time)
     return RadialState(N=state.N, coeffs=stepped[0], time=time)
@@ -281,41 +262,29 @@ def step_reference(
     """One RK4 step of the coefficient ODE (rotating frame, exact tensor)."""
     if config.method != "reference_rk4":
         raise DomainError("config.method must be reference_rk4")
-    return _step(state, config, tensor, None)
+    return _step(state, config, tensor)
 
 
-def step_collocation(
-    state: RadialState, config: IntegratorConfig, rule: QuadratureRule | None = None
-) -> RadialState:
+def step_collocation(state: RadialState, config: IntegratorConfig) -> RadialState:
     """One Strang splitting step (exact phases + pointwise nonlinear gauge)."""
     if config.method != "collocation_split":
         raise DomainError("config.method must be collocation_split")
-    return _step(state, config, None, rule)
+    return _step(state, config, None)
 
 
-def conserved_quantities(
-    coeffs: np.ndarray,
-    tensor: CorrelationTensor | None = None,
-    rule: QuadratureRule | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def conserved_quantities(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mass, energy) per row of a (records, N) coefficient matrix.
 
     mass = 2 pi sum |a|^2 and energy = 2 pi^2 sum n^2 |a|^2 + Q/4, with the
-    quartic Q from the tensor when one is given and from the radial
-    quadrature otherwise (default rule: rule_for_modes(4 N)).
+    quartic Q = ||u||_{L^4}^4 from the radial quadrature, whichever
+    integrator produced the coefficients.
     """
     # measures imports RadialState from this module
     from .measures import quartic_norm_quadrature
 
-    N = coeffs.shape[1]
-    if tensor is not None:
-        quartic = quartic_form(coeffs, tensor)
-    else:
-        rule = rule if rule is not None else rule_for_modes(4 * N)
-        quartic = quartic_norm_quadrature(coeffs, rule)
-    nsq = np.arange(1, N + 1, dtype=float) ** 2
+    nsq = np.arange(1, coeffs.shape[1] + 1, dtype=float) ** 2
     kinetic = 2.0 * np.pi**2 * np.sum(nsq * np.abs(coeffs) ** 2, axis=1)
-    return _mass(coeffs), kinetic + 0.25 * quartic
+    return _mass(coeffs), kinetic + 0.25 * quartic_norm_quadrature(coeffs)
 
 
 def evolve(
@@ -323,26 +292,20 @@ def evolve(
     t_end: float,
     config: IntegratorConfig,
     tensor: CorrelationTensor | None = None,
-    rule: QuadratureRule | None = None,
 ) -> Trajectory:
     """Integrate to t_end, recording every config.dt_record.
 
-    Mass is logged per recorded state; energy too when a tensor is
-    available (collocation runs without one log the quadrature quartic).
-    Blow-up raises BlowUpError carrying the partial trajectory.
+    Mass and energy are logged per recorded state, the same way for both
+    integrators (conserved_quantities).  Blow-up raises BlowUpError
+    carrying the partial trajectory.
     """
     if t_end < state.time:
         raise DomainError("t_end must be >= state.time")
     times, records = evolve_batch(
-        state.coeffs[None, :],
-        state.time,
-        t_end,
-        config,
-        tensor=tensor,
-        rule=rule,
+        state.coeffs[None, :], state.time, t_end, config, tensor=tensor
     )
     coeffs = records[:, 0, :]
-    return Trajectory(times, coeffs, *conserved_quantities(coeffs, tensor, rule))
+    return Trajectory(times, coeffs, *conserved_quantities(coeffs))
 
 
 def evolve_batch(
@@ -351,7 +314,6 @@ def evolve_batch(
     t_end: float,
     config: IntegratorConfig,
     tensor: CorrelationTensor | None = None,
-    rule: QuadratureRule | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evolve a (samples, N) ensemble; returns (times, (records, samples, N)).
 
@@ -374,7 +336,7 @@ def evolve_batch(
         if abs(rec_every * config.dt - config.dt_record) > 1e-9 * config.dt_record:
             raise DomainError("dt_record must be an integer multiple of dt")
 
-    stepper = _stepper(N, config, tensor, rule)
+    stepper = _stepper(N, config, tensor)
 
     rec_times = [t0]
     rec_coeffs = [A.copy()]

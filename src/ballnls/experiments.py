@@ -15,9 +15,8 @@ import numpy as np
 
 from .basis import (
     CorrelationTensor,
-    QuadratureRule,
+    _correlation_batch,
     build_tensor,
-    cubic_term,
     rule_for_modes,
     trapezoid_weights,
 )
@@ -110,14 +109,13 @@ class InvarianceReport:
         return all(ks < crit for _, ks, crit in self.observables)
 
 
-def observable_table(A: np.ndarray, tensor: CorrelationTensor) -> dict[str, np.ndarray]:
+def observable_table(A: np.ndarray) -> dict[str, np.ndarray]:
     """The four invariance observables evaluated on an ensemble (S, N)."""
     mode_idx = np.arange(1, A.shape[1] + 1)
     mod_sq = np.abs(A) ** 2
     mass = np.sum(mod_sq, axis=1)
-    W = cubic_term(A, tensor.contraction_matrix(A.shape[1]))
     return {
-        "l4_norm_fourth": np.einsum("sn,sn->s", np.conj(A), W).real,
+        "l4_norm_fourth": _quartic_batch(A),
         "re_a1": A[:, 0].real.copy(),
         "abs_a1_sq": mod_sq[:, 0],
         "mode_index": mod_sq @ mode_idx / np.where(mass > 0, mass, 1.0),
@@ -135,27 +133,29 @@ def run_invariance(
     coupling: float = 1.0,
     tensor: CorrelationTensor | None = None,
 ) -> InvarianceReport:
-    """Two-sample KS comparison of Gibbs marginals at t=0 vs t=t_compare."""
+    """Two-sample KS comparison of Gibbs marginals at t=0 vs t=t_compare.
+
+    The ensemble steps with the reference integrator on ``tensor``, built
+    when not given and t_compare > 0.
+    """
     if samples < 100:
         raise DomainError("invariance needs samples >= 100")
     if t_compare < 0:
         raise DomainError("t_compare must be >= 0")
     rng = rng if rng is not None else RngStream(seed=0)
     spec = FreeMeasureSpec.from_preset(preset, N)
-    rule = rule_for_modes(4 * N)
-    if tensor is None:
-        tensor = build_tensor(N)
-    A0, _, acceptance = sample_gibbs_batch(spec, beta_q, rng, rule, samples)
-    obs0 = observable_table(A0, tensor)
+    A0, _, acceptance = sample_gibbs_batch(spec, beta_q, rng, samples)
+    obs0 = observable_table(A0)
     if t_compare == 0:
         A1 = A0
     else:
         config = IntegratorConfig(
             method="reference_rk4", dt=dt, coupling=coupling, dt_record=t_compare
         )
+        tensor = tensor if tensor is not None else build_tensor(N)
         _, records = evolve_batch(A0, 0.0, t_compare, config, tensor=tensor)
         A1 = records[-1]
-    obs1 = observable_table(A1, tensor)
+    obs1 = observable_table(A1)
     crit = ks_critical_value(samples, samples, alpha=0.01)
     rows = tuple(
         (name, ks_statistic(obs0[name], obs1[name]), crit) for name in obs0
@@ -209,15 +209,10 @@ def _fit_tail(values: np.ndarray, grid_points: int = 48):
 
 
 def _norm_samples(
-    norm_kind: str,
-    A: np.ndarray,
-    rule: QuadratureRule,
-    params: NormParams,
-    dt: float,
-    coupling: float,
+    norm_kind: str, A: np.ndarray, params: NormParams, dt: float, coupling: float
 ) -> np.ndarray:
     if norm_kind == "L4_x":
-        return _quartic_batch(A, rule) ** 0.25
+        return _quartic_batch(A) ** 0.25
     if norm_kind not in ("mixed", "xsb"):
         raise DomainError(f"unknown norm kind {norm_kind!r}")
     # evolve each sample over a unit window, then apply the space-time norm
@@ -230,10 +225,11 @@ def _norm_samples(
         dt_record=dt_rec,
         coupling=coupling,
     )
+    rule = rule_for_modes(4 * N)
     out = np.empty(S)
     chunk = max(1, 2**24 // (int(1.0 / dt_rec) * N))
     for lo in range(0, S, chunk):
-        times, records = evolve_batch(A[lo : lo + chunk], 0.0, 1.0, config, rule=rule)
+        times, records = evolve_batch(A[lo : lo + chunk], 0.0, 1.0, config)
         for j in range(records.shape[1]):
             traj = records[:, j, :]
             if norm_kind == "mixed":
@@ -264,14 +260,13 @@ def run_tail_experiment(
     rng = rng if rng is not None else RngStream(seed=0)
     params = params if params is not None else NormParams()
     spec = FreeMeasureSpec.from_preset(preset, N)
-    rule = rule_for_modes(4 * N)
     if measure == "free":
         A = sample_free_batch(spec, rng, samples)
     elif measure == "gibbs":
-        A, _, _ = sample_gibbs_batch(spec, beta_q, rng, rule, samples)
+        A, _, _ = sample_gibbs_batch(spec, beta_q, rng, samples)
     else:
         raise DomainError(f"unknown measure {measure!r}")
-    values = _norm_samples(norm_kind, A, rule, params, dt, coupling)
+    values = _norm_samples(norm_kind, A, params, dt, coupling)
     if np.ptp(values) == 0:
         raise FitDegenerateError("tail fit degenerate: point-mass distribution")
     grid, log_surv, c_hat, kappa_hat = _fit_tail(values)
@@ -309,14 +304,6 @@ class BlockReport:
     chaos_values: dict  # N2 -> per-sample max_n centered chaos sum
     chaos_medians: dict  # N2 -> median of the above
 
-    def survival(self, which: str, lam: np.ndarray) -> np.ndarray:
-        vals = (
-            self.block_values
-            if which == "block"
-            else np.concatenate(list(self.chaos_values.values()))
-        )
-        return np.array([(vals > v).mean() for v in np.asarray(lam)])
-
 
 def _dyadic_blocks(N: int):
     B = 1
@@ -340,20 +327,20 @@ def block_observable(mod_sq: np.ndarray, dt_rec: float, q: float = 6.0) -> np.nd
     return best
 
 
-def chaos_observable(
-    avg_gsq: np.ndarray, N2: int, tensor: CorrelationTensor, n_top: int
-) -> np.ndarray:
-    """max_n |sum_{n2 ~ N2} c(n,n,n2,n2) (|g_{n2}|^2 - 1) / n2^2| per sample."""
+def chaos_observable(avg_gsq: np.ndarray, N2: int, n_top: int) -> np.ndarray:
+    """max_n |sum_{n2 ~ N2} c(n,n,n2,n2) (|g_{n2}|^2 - 1) / n2^2| per sample.
+
+    c comes from the closed form on sorted index tuples, the entries
+    build_tensor stores, for n = 1..n_top.
+    """
     S, N = avg_gsq.shape
     if 2 * N2 - 1 > N:
         raise DomainError(f"block n2 ~ {N2} exceeds the field truncation N={N}")
     n2_range = np.arange(N2, min(2 * N2, N + 1))
-    rows = np.array(
-        [
-            [tensor.value(n, n, n2, n2) / n2**2 for n2 in n2_range]
-            for n in range(1, n_top + 1)
-        ]
-    )
+    n, n2 = np.meshgrid(np.arange(1, n_top + 1), n2_range, indexing="ij")
+    lo, hi = np.minimum(n, n2), np.maximum(n, n2)
+    tuples = np.stack([lo, lo, hi, hi], axis=-1).reshape(-1, 4)
+    rows = _correlation_batch(tuples).reshape(n.shape) / n2**2
     centered = avg_gsq[:, n2_range - 1] - 1.0
     return np.max(np.abs(centered @ rows.T), axis=1)
 
@@ -366,7 +353,6 @@ def run_block_observables(
     coupling: float = 1.0,
     preset: str = "derived",
     dt: float = 1.0 / 1024,
-    tensor: CorrelationTensor | None = None,
 ) -> BlockReport:
     """Free-measure ensembles evolved over a unit window, Lemma-7/8 style."""
     if samples < 1000:
@@ -380,9 +366,6 @@ def run_block_observables(
         )
     rng = rng if rng is not None else RngStream(seed=0)
     spec = FreeMeasureSpec.from_preset(preset, N)
-    if tensor is None:
-        tensor = build_tensor(N)
-    rule = rule_for_modes(4 * N)
     dt_rec = 1.0 / 256
     steps_per_rec = max(1, int(round(dt_rec / dt)))
     config = IntegratorConfig(
@@ -397,14 +380,14 @@ def run_block_observables(
     tw = trapezoid_weights(int(round(1.0 / dt_rec)) + 1, dt_rec)
     for lo in range(0, samples, chunk):
         A0 = sample_free_batch(spec, rng.child(lo), min(chunk, samples - lo))
-        _, records = evolve_batch(A0, 0.0, 1.0, config, rule=rule)
+        _, records = evolve_batch(A0, 0.0, 1.0, config)
         mod_sq = np.abs(records) ** 2
         block_vals[lo : lo + A0.shape[0]] = block_observable(mod_sq, dt_rec)
         # time-averaged normalized moduli |a_n(t)/sigma_n|^2 over the window
         gsq = mod_sq / spec.sigma[None, None, :] ** 2
         avg_gsq[lo : lo + A0.shape[0]] = np.tensordot(tw, gsq, axes=(0, 0))
     chaos_vals = {
-        N2: chaos_observable(avg_gsq, N2, tensor, n_top=N) for N2 in n2_values
+        N2: chaos_observable(avg_gsq, N2, n_top=N) for N2 in n2_values
     }
     medians = {N2: float(np.median(v)) for N2, v in chaos_vals.items()}
     return BlockReport(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import QuadratureRule, eval_matrix, rule_for_modes
+from .basis import eval_matrix, rule_for_modes
 from .dynamics import RadialState
 from .errors import DomainError, PrecisionError, SamplingError
 
@@ -268,27 +268,30 @@ def _pcg64_states(seed: int, first: int, count: int) -> list[tuple[int, int]]:
     return states
 
 
-def quartic_norm_quadrature(
-    coeffs: np.ndarray, rule: QuadratureRule
-) -> float | np.ndarray:
+def quartic_norm_quadrature(coeffs: np.ndarray) -> float | np.ndarray:
     """Radial-quadrature path: 4 pi int_0^1 |phi(r)|^4 r^2 dr.
 
     A float for one coefficient vector, one value per row of a matrix.
     """
     a = np.asarray(coeffs, dtype=complex)
-    q = _quartic_batch(np.atleast_2d(a), rule)
+    q = _quartic_batch(np.atleast_2d(a))
     return float(q[0]) if a.ndim == 1 else q
 
 
-def _quartic_batch(coeffs: np.ndarray, rule: QuadratureRule) -> np.ndarray:
-    """||phi_k||_{L^4}^4 for a (count, N) batch via quadrature."""
-    E = eval_matrix(coeffs.shape[1], rule.nodes)
+def _quartic_batch(coeffs: np.ndarray) -> np.ndarray:
+    """||phi_k||_{L^4}^4 for a (count, N) batch via quadrature.
+
+    |phi|^4 carries frequencies up to 4N, so the rule is rule_for_modes(4 N).
+    """
+    N = coeffs.shape[1]
+    rule = rule_for_modes(4 * N)
+    E = eval_matrix(N, rule.nodes)
     w = rule.weights * rule.nodes**2
     out = np.empty(coeffs.shape[0])
     # ~2^19 nodal values per chunk (256 rows at N = 64) keep the temporaries
     # cache-sized.  Real GEMMs skip promoting the real E to complex; the
     # strided .real/.imag views are copied, or matmul bypasses BLAS.
-    step = max(1, 2**19 // max(rule.order, 1))
+    step = max(1, 2**19 // rule.order)
     for lo in range(0, coeffs.shape[0], step):
         a = coeffs[lo : lo + step]
         u2 = np.ascontiguousarray(a.real) @ E
@@ -309,12 +312,11 @@ def sample_gibbs(
 ) -> GibbsSample:
     """One Gibbs draw: the one-row case of sample_gibbs_batch.
 
-    Draws from stream rng itself (rng.child(0)) with the quadrature quartic
-    of rule_for_modes(4 N).  Raises SamplingError when max_attempts draws
-    are all rejected.
+    Draws from stream rng itself (rng.child(0)).  Raises SamplingError
+    when max_attempts draws are all rejected.
     """
     coeffs, quartics, rate = sample_gibbs_batch(
-        spec, beta_q, rng, rule_for_modes(4 * spec.N), 1, max_rounds=max_attempts
+        spec, beta_q, rng, 1, max_rounds=max_attempts
     )
     return GibbsSample(
         state=RadialState(N=spec.N, coeffs=coeffs[0], time=0.0),
@@ -328,7 +330,6 @@ def sample_gibbs_batch(
     spec: FreeMeasureSpec,
     beta_q: float,
     rng: RngStream,
-    rule: QuadratureRule,
     count: int,
     max_rounds: int = 10_000,
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -351,7 +352,7 @@ def sample_gibbs_batch(
             [spec.sigma * _standard_complex(gens[k], spec.N) for k in pending]
         )
         unis = np.array([gens[k].uniform() for k in pending])
-        qn = _quartic_batch(draws, rule)
+        qn = _quartic_batch(draws)
         attempts_total += pending.size
         accept = unis < np.exp(-beta_q * qn)
         coeffs[pending[accept]] = draws[accept]

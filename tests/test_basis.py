@@ -158,7 +158,7 @@ class TestCorrelationTensor:
         gen = np.random.default_rng(3)
         a = 0.3 * (gen.standard_normal(8) + 1j * gen.standard_normal(8))
         exact = quartic_form(a, tensor)
-        quad = quartic_norm_quadrature(a, rule_for_modes(32))
+        quad = quartic_norm_quadrature(a)
         assert exact == pytest.approx(quad, rel=1e-10)
         assert exact > 0
 
@@ -199,7 +199,7 @@ class TestCubicTerm:
             w = cubic_term(a[None, :], tensor12.contraction_matrix(N))[0]
             assert q == pytest.approx(np.real(np.conj(a) @ w), rel=1e-12)
         np.testing.assert_allclose(
-            observable_table(A, tensor12)["l4_norm_fourth"], per_row, rtol=1e-12
+            observable_table(A)["l4_norm_fourth"], per_row, rtol=1e-12
         )
 
 

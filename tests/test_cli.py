@@ -85,7 +85,7 @@ class TestEvolve:
             "--coupling", 1e6, "--integrator", "reference", "--out", out,
         ) == 3
         err = capsys.readouterr().err
-        assert "at t=0.01 in sample 0: mass ratio" in err
+        assert "at t=0.01, sample 0: mass ratio" in err
         partial = pio.read_trajectory(str(out) + ".partial")
         assert partial.times[0] == 0.0
         assert np.all(np.isnan(partial.energy_log))
@@ -142,6 +142,45 @@ class TestReplay:
 
     def test_missing_manifest(self, tmp_path):
         assert run("replay", "--manifest", tmp_path / "nope.json") == 3
+
+    @staticmethod
+    def edited_manifest(tmp_path, drop=(), **changes):
+        """A collocation evolve run and its manifest with the snapshot
+        entries in drop deleted and those in changes replaced."""
+        out = tmp_path / "orig.traj"
+        assert run(
+            "evolve", "--n", 4, "--t-end", 0.01, "--dt", 1e-3,
+            "--integrator", "collocation", "--out", out,
+        ) == 0
+        path = Path(str(out) + ".manifest.json")
+        manifest = json.loads(path.read_text())
+        snapshot = manifest["config_snapshot"]
+        for key in drop:
+            del snapshot[key]
+        snapshot.update(changes)
+        path.write_text(json.dumps(manifest))
+        return out, path
+
+    @pytest.mark.parametrize(
+        "key, value", [("n", "abc"), ("t_end", "soon"), ("dt", True)]
+    )
+    def test_bad_snapshot_value_exit_2(self, tmp_path, capsys, key, value):
+        _, path = self.edited_manifest(tmp_path, **{key: value})
+        assert run("replay", "--manifest", path, "--out-dir", tmp_path / "r") == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and repr(key) in err
+
+    def test_snapshot_text_and_missing_keys_resolve(self, tmp_path):
+        # "4" converts as a config-file value would; a missing seed and a
+        # null coupling take their defaults, which the original run used;
+        # dt_record stays None
+        out, path = self.edited_manifest(
+            tmp_path, drop=("seed",), n="4", coupling=None
+        )
+        assert json.loads(path.read_text())["config_snapshot"]["dt_record"] is None
+        replay_dir = tmp_path / "replayed"
+        assert run("replay", "--manifest", path, "--out-dir", replay_dir) == 0
+        assert (replay_dir / "orig.traj").read_bytes() == out.read_bytes()
 
 
 class TestNorms:
@@ -278,3 +317,19 @@ class TestBenchHooks:
         assert "io.write_tensor_cache" in spans["reference"]
         assert "io.read_tensor_cache" not in spans["collocation"]
         assert "basis.build_tensor" not in spans["collocation"]
+
+    def test_kernel_sweep_runs(self, monkeypatch):
+        # the sweep calls step_reference, step_collocation, evolve_batch,
+        # quartic_form and mixed_norm_matrix with the benchmark's arguments
+        monkeypatch.syspath_prepend(str(BENCH))
+        from sweep import sweep
+
+        result = sweep(1, (4,))
+        kernels = (
+            "tensor_setup", "step_reference", "step_collocation",
+            "evolve_batch_rk4", "evolve_batch_strang", "quartic_form",
+            "mixed_norm_matrix",
+        )
+        timed = {f"sweep.{kernel}.n4.s" for kernel in kernels}
+        assert {key for key in result if key.endswith(".n4.s")} == timed
+        assert all(result[key] > 0 for key in timed)

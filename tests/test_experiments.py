@@ -95,9 +95,8 @@ class TestInvariance:
             run_invariance(N=4, samples=50, t_compare=0.1, beta_q=0.25)
 
     def test_observable_table_keys(self):
-        tensor = build_tensor(4)
         A = sample_free(FreeMeasureSpec.derived(4), RngStream(seed=0)).coeffs
-        table = observable_table(A[None, :], tensor)
+        table = observable_table(A[None, :])
         assert set(table) == {"l4_norm_fourth", "re_a1", "abs_a1_sq", "mode_index"}
         assert table["l4_norm_fourth"][0] > 0
 
@@ -134,7 +133,7 @@ class TestTails:
         A = sample_free_batch(FreeMeasureSpec.derived(N), RngStream(seed=5), 3)
         rule = rule_for_modes(4 * N)
         params = NormParams(s=0.5, b=0.45, p=4.0, q=4.0)
-        values = _norm_samples(kind, A, rule, params, dt, coupling=1.0)
+        values = _norm_samples(kind, A, params, dt, coupling=1.0)
         # the sampling steps _norm_samples documents for each kind
         dt_rec = 1.0 / (16 * N * N) if kind == "mixed" else 1.0 / (8 * N * N + 4)
         steps = round(dt_rec / dt)
@@ -142,7 +141,7 @@ class TestTails:
             method="collocation_split", dt=dt_rec / steps, dt_record=dt_rec
         )
         for a, value in zip(A, values):
-            traj = evolve(RadialState(N=N, coeffs=a), 1.0, cfg, rule=rule)
+            traj = evolve(RadialState(N=N, coeffs=a), 1.0, cfg)
             if kind == "mixed":
                 expected = mixed_norm(traj, params.p, params.q, rule)
             else:
@@ -166,16 +165,29 @@ class TestBlocks:
         assert np.all(block_observable(mod_sq, dt_rec=0.25) == 0)
 
     def test_chaos_observable_centering(self):
-        tensor = build_tensor(8)
         # |g|^2 identically 1 => centered sum vanishes
         avg = np.ones((3, 8))
-        vals = chaos_observable(avg, N2=2, tensor=tensor, n_top=4)
+        vals = chaos_observable(avg, N2=2, n_top=4)
         assert np.allclose(vals, 0.0)
 
+    def test_chaos_observable_matches_tensor_rows(self):
+        N = 8
+        tensor = build_tensor(N)
+        avg = np.random.default_rng(6).exponential(size=(40, N))
+        for N2 in (1, 2, 3, 4):
+            n2_range = np.arange(N2, min(2 * N2, N + 1))
+            rows = np.array(
+                [
+                    [tensor.value(n, n, n2, n2) / n2**2 for n2 in n2_range]
+                    for n in range(1, N + 1)
+                ]
+            )
+            expected = np.max(np.abs((avg[:, n2_range - 1] - 1.0) @ rows.T), axis=1)
+            assert np.array_equal(chaos_observable(avg, N2, n_top=N), expected)
+
     def test_chaos_block_exceeds_truncation(self):
-        tensor = build_tensor(8)
         with pytest.raises(DomainError):
-            chaos_observable(np.ones((2, 8)), N2=8, tensor=tensor, n_top=4)
+            chaos_observable(np.ones((2, 8)), N2=8, n_top=4)
 
     @pytest.mark.parametrize("n2_values", [(0,), (0, 4), (-2, 4)])
     def test_block_size_below_one_rejected(self, n2_values):

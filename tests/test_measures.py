@@ -109,11 +109,11 @@ class TestQuarticBatch:
         E = eval_matrix(N, rule.nodes)
         w = rule.weights * rule.nodes**2
         A = sample_free_batch(FreeMeasureSpec.derived(N), RngStream(seed=8), 2 * chunk + 1)
-        got = _quartic_batch(A, rule)
+        got = _quartic_batch(A)
         expected = [4.0 * np.pi * np.sum(w * np.abs(a @ E) ** 4) for a in A]
         assert got == pytest.approx(expected, rel=1e-13)
         # a row's value does not depend on where the chunks cut the batch
-        assert np.array_equal(got[chunk:], _quartic_batch(A[chunk:], rule))
+        assert np.array_equal(got[chunk:], _quartic_batch(A[chunk:]))
 
 
 class TestGibbs:
@@ -137,9 +137,8 @@ class TestGibbs:
 
     def test_batch_reproducible(self):
         spec = FreeMeasureSpec.derived(6)
-        rule = rule_for_modes(24)
-        A1, q1, rate1 = sample_gibbs_batch(spec, 0.25, RngStream(seed=3), rule, 50)
-        A2, q2, rate2 = sample_gibbs_batch(spec, 0.25, RngStream(seed=3), rule, 50)
+        A1, q1, rate1 = sample_gibbs_batch(spec, 0.25, RngStream(seed=3), 50)
+        A2, q2, rate2 = sample_gibbs_batch(spec, 0.25, RngStream(seed=3), 50)
         assert np.array_equal(A1, A2)
         assert rate1 == rate2
         assert 0 < rate1 <= 1
@@ -148,7 +147,7 @@ class TestGibbs:
         spec = FreeMeasureSpec.derived(6)
         state = sample_free(spec, RngStream(seed=12))
         assert quartic_form(state.coeffs, tensor) == pytest.approx(
-            quartic_norm_quadrature(state.coeffs, rule_for_modes(24)), rel=1e-10
+            quartic_norm_quadrature(state.coeffs), rel=1e-10
         )
 
     def test_sampler_budget_exhaustion(self):
