@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as pio
-from .basis import build_tensor, rule_for_modes
+from .basis import build_tensor, quartic_form, rule_for_modes
 from .dynamics import (
     REFERENCE_N_ADVISORY,
     IntegratorConfig,
@@ -28,7 +28,13 @@ from .dynamics import (
     default_dt,
     evolve,
 )
-from .errors import BallNlsError, BlowUpError, RuntimeFailure, UsageError
+from .errors import (
+    BallNlsError,
+    BlowUpError,
+    RuntimeFailure,
+    StorageError,
+    UsageError,
+)
 from .experiments import (
     run_block_observables,
     run_convergence_ladder,
@@ -40,6 +46,7 @@ from .measures import (
     RNG_ALGORITHM,
     FreeMeasureSpec,
     RngStream,
+    quartic_norm_quadrature,
     sample_free,
     sample_gibbs,
 )
@@ -278,11 +285,29 @@ def _cmd_tensor_build(cfg: dict) -> int:
     return EXIT_OK
 
 
+def _check_cached_tensor(tensor, n: int, path) -> None:
+    """The cached tensor's quartic of a probe state must match the quadrature.
+
+    The digest shows only that the file is intact, not that its entries are
+    the correlation coefficients of this code; the radial quadrature is an
+    independent oracle for them.
+    """
+    probe = np.exp(1j * np.arange(n)) / np.arange(1, n + 1)
+    exact = quartic_form(probe, tensor)
+    quad = quartic_norm_quadrature(probe)
+    if not abs(exact - quad) <= 1e-10 * quad:
+        raise StorageError(
+            f"{path}: tensor quartic {exact:.17g} of a probe state disagrees "
+            f"with the radial quadrature {quad:.17g}"
+        )
+
+
 def _load_or_build_tensor(n: int):
     path = pio.default_cache_path(n)
     if Path(path).exists():
         tensor = pio.read_tensor_cache(path)
         if tensor.n_max >= n:
+            _check_cached_tensor(tensor, n, path)
             return tensor, pio.file_sha256(path)
     tensor = build_tensor(n)
     pio.cache_dir().mkdir(parents=True, exist_ok=True)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
-    CorrelationTensor,
     _correlation_batch,
     build_tensor,
     rule_for_modes,
@@ -131,13 +130,8 @@ def run_invariance(
     rng: RngStream | None = None,
     dt: float = 1e-3,
     coupling: float = 1.0,
-    tensor: CorrelationTensor | None = None,
 ) -> InvarianceReport:
-    """Two-sample KS comparison of Gibbs marginals at t=0 vs t=t_compare.
-
-    The ensemble steps with the reference integrator on ``tensor``, built
-    when not given and t_compare > 0.
-    """
+    """Two-sample KS comparison of Gibbs marginals at t=0 vs t=t_compare."""
     if samples < 100:
         raise DomainError("invariance needs samples >= 100")
     if t_compare < 0:
@@ -152,8 +146,9 @@ def run_invariance(
         config = IntegratorConfig(
             method="reference_rk4", dt=dt, coupling=coupling, dt_record=t_compare
         )
-        tensor = tensor if tensor is not None else build_tensor(N)
-        _, records = evolve_batch(A0, 0.0, t_compare, config, tensor=tensor)
+        _, records = evolve_batch(
+            A0, 0.0, t_compare, config, tensor=build_tensor(N)
+        )
         A1 = records[-1]
     obs1 = observable_table(A1)
     crit = ks_critical_value(samples, samples, alpha=0.01)

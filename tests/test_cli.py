@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -47,6 +48,19 @@ class TestTensorBuild:
         out.write_bytes(bytes(blob))
         with pytest.raises(Exception):
             pio.read_tensor_cache(out)
+
+    def test_wrong_cached_entries_exit_3(self, tmp_path, capsys):
+        # an intact file whose entries are not the correlation coefficients
+        tensor = ballnls.cli.build_tensor(4)
+        wrong = dataclasses.replace(tensor, values=1.5 * tensor.values)
+        pio.cache_dir().mkdir(parents=True)
+        pio.write_tensor_cache(wrong, pio.default_cache_path(4))
+        assert run(
+            "evolve", "--n", 4, "--t-end", 0.01, "--dt", 1e-3,
+            "--integrator", "reference", "--out", tmp_path / "a.traj",
+        ) == 3
+        assert "disagrees with the radial quadrature" in capsys.readouterr().err
+        assert not (tmp_path / "a.traj").exists()
 
 
 class TestEvolve:
