@@ -132,6 +132,8 @@ def run_invariance(
     coupling: float = 1.0,
 ) -> InvarianceReport:
     """Two-sample KS comparison of Gibbs marginals at t=0 vs t=t_compare."""
+    if N < 1:
+        raise DomainError("N must be >= 1")
     if samples < 100:
         raise DomainError("invariance needs samples >= 100")
     if t_compare < 0:
@@ -250,6 +252,8 @@ def run_tail_experiment(
     dt: float = 1e-3,
 ) -> TailFit:
     """Monte Carlo survival curve and stretched-exponential tail fit."""
+    if N < 1:
+        raise DomainError("N must be >= 1")
     if samples < 10_000:
         raise PrecisionError("tail resolution needs samples >= 10^4")
     rng = rng if rng is not None else RngStream(seed=0)
@@ -563,6 +567,8 @@ def run_embedding_study(
     modulation_decay: float = 1.0,
 ) -> EmbeddingReport:
     """Distribution of mixed_norm / xsb_norm over random spectra."""
+    if N < 1:
+        raise DomainError("N must be >= 1")
     if params is None:
         if clause not in _CLAUSE_DEFAULTS:
             raise DomainError(f"unsupported clause {clause!r} (have i, iii, vii)")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import eval_matrix, rule_for_modes
+from .basis import eval_matrix, nodal_modulus_sq, rule_for_modes
 from .dynamics import RadialState
 from .errors import DomainError, PrecisionError, SamplingError
 
@@ -288,19 +288,9 @@ def _quartic_batch(coeffs: np.ndarray) -> np.ndarray:
     E = eval_matrix(N, rule.nodes)
     w = rule.weights * rule.nodes**2
     out = np.empty(coeffs.shape[0])
-    # ~2^19 nodal values per chunk (256 rows at N = 64) keep the temporaries
-    # cache-sized.  Real GEMMs skip promoting the real E to complex; the
-    # strided .real/.imag views are copied, or matmul bypasses BLAS.
-    step = max(1, 2**19 // rule.order)
-    for lo in range(0, coeffs.shape[0], step):
-        a = coeffs[lo : lo + step]
-        u2 = np.ascontiguousarray(a.real) @ E
+    for rows, u2 in nodal_modulus_sq(coeffs, E):
         u2 *= u2
-        im = np.ascontiguousarray(a.imag) @ E
-        im *= im
-        u2 += im
-        u2 *= u2
-        out[lo : lo + step] = 4.0 * np.pi * (u2 @ w)
+        out[rows] = 4.0 * np.pi * (u2 @ w)
     return out
 
 

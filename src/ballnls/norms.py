@@ -27,6 +27,7 @@ from .basis import (
     QuadratureRule,
     TruncatedTensorView,
     eval_matrix,
+    nodal_modulus_sq,
     trapezoid_weights,
 )
 from .dynamics import RadialState, Trajectory
@@ -153,16 +154,15 @@ def mixed_norm_matrix(
         )
     E = eval_matrix(N, rule.nodes)
     tw = trapezoid_weights(S, dt_rec)
+    # g accumulates int |u|^q dt per node, or max |u|^2 for q = inf
     g = np.zeros(rule.order)
-    step = max(1, 2**22 // max(rule.order, 1))
-    for lo in range(0, S, step):
-        U = A[lo : lo + step] @ E
-        mod = np.abs(U)
+    for rows, u2 in nodal_modulus_sq(A, E):
         if np.isinf(q):
-            g = np.maximum(g, mod.max(axis=0))
+            np.maximum(g, u2.max(axis=0), out=g)
         else:
-            g += tw[lo : lo + step] @ mod**q
-    inner = g if np.isinf(q) else g ** (1.0 / q)
+            u2 **= q / 2.0
+            g += tw[rows] @ u2
+    inner = np.sqrt(g) if np.isinf(q) else g ** (1.0 / q)
     val = 4.0 * np.pi * rule.integrate(inner**p * rule.nodes**2)
     return float(val ** (1.0 / p))
 
@@ -174,11 +174,8 @@ def mixed_norm_l2t(spec: SpaceTimeSpectrum, p: float, rule: QuadratureRule) -> f
     E = eval_matrix(spec.N, rule.nodes)
     # int_0^1 |u(t,r)|^2 dt = sum_m |sum_n f_{n,m} e_n(r)|^2
     g = np.zeros(rule.order)
-    step = max(1, 2**22 // max(rule.order, 1))
-    F = spec.values.T  # (2M+1, N)
-    for lo in range(0, F.shape[0], step):
-        U = F[lo : lo + step] @ E
-        g += np.sum(np.abs(U) ** 2, axis=0)
+    for _, u2 in nodal_modulus_sq(spec.values.T, E):
+        g += u2.sum(axis=0)
     val = 4.0 * np.pi * rule.integrate(g ** (p / 2.0) * rule.nodes**2)
     return float(val ** (1.0 / p))
 
@@ -249,9 +246,12 @@ def synthesize_uniform(spec: SpaceTimeSpectrum, samples: int) -> np.ndarray:
     S = int(samples)
     if S <= 2 * spec.M_half:
         raise ResolutionError("sample count below Nyquist for M_half")
+    # column m mod S holds f_{., m}: m >= 0 at the front, m < 0 at the back,
+    # apart since S > 2 M_half
+    M = spec.M_half
     x = np.zeros((spec.N, S), dtype=complex)
-    cols = spec.m_grid % S
-    np.add.at(x, (slice(None), cols), spec.values)
+    x[:, : M + 1] = spec.values[:, M:]
+    x[:, S - M :] = spec.values[:, :M]
     # fft computes sum_k x_k e(-j k / S)
     return np.fft.fft(x, axis=1).T  # (S, N)
 

@@ -20,6 +20,7 @@ from ballnls.basis import (
     gauss_legendre_rule,
     inner_product,
     max_circle_count,
+    nodal_modulus_sq,
     quartic_form,
     rule_for_modes,
     sigma_sum,
@@ -88,6 +89,35 @@ class TestEigenfunctions:
         nodes = np.concatenate([[0.0], rule_for_modes(4 * N).nodes])
         stacked = np.stack([eigenfunction_value(n, nodes) for n in range(1, N + 1)])
         assert np.array_equal(eval_matrix(N, nodes), stacked)
+
+
+class TestNodalModulusSq:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        N=st.integers(1, 16),
+        panels=st.sampled_from([512, 2048, 4096]),
+        chunks=st.integers(0, 2),
+        offset=st.integers(-2, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_complex_oracle(self, N, panels, chunks, offset, seed):
+        # 4096 to 32768 nodes: chunks of 128 to 16 rows, cut on both sides
+        rule = gauss_legendre_rule(panels)
+        step = 2**19 // rule.order
+        rows = max(1, chunks * step + offset)
+        gen = np.random.default_rng(seed)
+        A = gen.standard_normal((rows, N)) + 1j * gen.standard_normal((rows, N))
+        E = eval_matrix(N, rule.nodes)
+        expected = np.abs(A @ E) ** 2
+        got = np.empty_like(expected)
+        starts = []
+        for sl, u2 in nodal_modulus_sq(A, E):
+            starts.append(sl.start)
+            got[sl] = u2
+        assert starts == list(range(0, rows, step))
+        np.testing.assert_allclose(
+            got, expected, rtol=1e-13, atol=1e-13 * expected.max()
+        )
 
 
 class TestCorrelation:

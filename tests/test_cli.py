@@ -262,6 +262,20 @@ class TestExperiments:
         ) == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("embeddings", "--clause", "i"),
+            ("invariance",),
+            ("tails", "--norm-kind", "L4_x"),
+            ("tails", "--norm-kind", "mixed"),
+            ("tails", "--norm-kind", "xsb"),
+        ],
+    )
+    def test_zero_modes_exit_2(self, args, capsys):
+        assert run("experiment", *args, "--n", 0) == 2
+        assert "N must be >= 1" in capsys.readouterr().err
+
     def test_ladder_duplicate_levels_exit_2(self):
         assert run("experiment", "ladder", "--n-values", "8,8,16") == 2
 

@@ -115,6 +115,27 @@ class TestQuarticBatch:
         # a row's value does not depend on where the chunks cut the batch
         assert np.array_equal(got[chunk:], _quartic_batch(A[chunk:]))
 
+    def test_bits_pinned(self):
+        # The Gibbs accept/reject decisions and the invariance observable
+        # read these bits; this is the formula the draws were recorded with.
+        N = 8
+        rule = rule_for_modes(4 * N)
+        chunk = 2**19 // rule.order
+        E = eval_matrix(N, rule.nodes)
+        w = rule.weights * rule.nodes**2
+        A = sample_free_batch(FreeMeasureSpec.derived(N), RngStream(seed=9), 2 * chunk + 5)
+        expected = np.empty(A.shape[0])
+        for lo in range(0, A.shape[0], chunk):
+            a = A[lo : lo + chunk]
+            u2 = np.ascontiguousarray(a.real) @ E
+            u2 *= u2
+            im = np.ascontiguousarray(a.imag) @ E
+            im *= im
+            u2 += im
+            u2 *= u2
+            expected[lo : lo + chunk] = 4.0 * np.pi * (u2 @ w)
+        assert np.array_equal(_quartic_batch(A), expected)
+
 
 class TestGibbs:
     @pytest.fixture()

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from ballnls.basis import build_tensor, rule_for_modes
+from ballnls.basis import (
+    build_tensor,
+    eval_matrix,
+    gauss_legendre_rule,
+    rule_for_modes,
+    trapezoid_weights,
+)
 from ballnls.dynamics import IntegratorConfig, RadialState, evolve
 from ballnls.errors import DomainError, ResolutionError, UndefinedRatioError
 from ballnls.norms import (
@@ -133,6 +139,48 @@ class TestMixedNorm:
         trapezoid_closed = mixed_norm_matrix(A_closed, 1.0 / S, 2.5, 2.0, rule)
         assert shortcut == pytest.approx(trapezoid_closed, rel=1e-9)
         assert shortcut == pytest.approx(direct, rel=1e-2)
+
+
+class TestMixedNormKernels:
+    """The real-GEMM kernels against in-test complex-GEMM references.
+
+    A 4096-node rule makes the kernel's chunks 128 rows long, so every
+    case below spans several of them.
+    """
+
+    rule = gauss_legendre_rule(512)
+
+    def radial(self, inner, p):
+        nodes = self.rule.nodes
+        return (4.0 * np.pi * self.rule.integrate(inner**p * nodes**2)) ** (1 / p)
+
+    @pytest.mark.parametrize("q", [2.0, 2.5, 4 / (3 - 1.6), 4.0, np.inf])
+    def test_matrix_matches_complex_reference(self, q):
+        N, S, p, dt = 6, 300, 3.0, 1.0 / (16 * 36)
+        gen = np.random.default_rng(11)
+        A = gen.standard_normal((S, N)) + 1j * gen.standard_normal((S, N))
+        mod = np.abs(A @ eval_matrix(N, self.rule.nodes))
+        if np.isinf(q):
+            inner = mod.max(axis=0)
+        else:
+            inner = (trapezoid_weights(S, dt) @ mod**q) ** (1 / q)
+        got = mixed_norm_matrix(A, dt, p, q, self.rule)
+        assert got == pytest.approx(self.radial(inner, p), rel=1e-13)
+
+    def test_l2t_matches_complex_reference(self):
+        spec = random_spectrum(8, seed=12)  # 257 time frequencies
+        F = spec.values.T
+        g = np.sum(np.abs(F @ eval_matrix(spec.N, self.rule.nodes)) ** 2, axis=0)
+        got = mixed_norm_l2t(spec, 2.5, self.rule)
+        assert got == pytest.approx(self.radial(g ** 0.5, 2.5), rel=1e-13)
+
+    @pytest.mark.parametrize("samples", [4 * 2 * 9 + 1, 4 * 2 * 9 * 4])
+    def test_synthesis_matches_scatter_add(self, samples):
+        spec = random_spectrum(3, seed=13)
+        x = np.zeros((spec.N, samples), dtype=complex)
+        np.add.at(x, (slice(None), spec.m_grid % samples), spec.values)
+        expected = np.fft.fft(x, axis=1).T
+        assert np.array_equal(synthesize_uniform(spec, samples), expected)
 
 
 class TestSpectrum:
