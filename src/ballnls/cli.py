@@ -12,7 +12,6 @@ side-by-side ``<out>.manifest.json`` with the fully resolved snapshot;
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -81,7 +80,6 @@ _STR = str
 _OPTIONS = {
     "tensor-build": [
         ("n_max", _INT, None, "tensor index cutoff (required)"),
-        ("quad_order", _INT, 0, "quadrature order recorded in the header"),
         ("out", _STR, None, "output path (default: cache directory)"),
     ],
     "evolve": [
@@ -191,7 +189,14 @@ def _typed(command: str, values: dict, source: str) -> dict:
 
 
 def _resolve(command: str, args, config_file_values: dict) -> dict:
-    resolved = _typed(command, config_file_values, f"config file {args.config}")
+    """Defaults < config file < flags; a config-file key that command has
+    no option for is a UsageError (replayed manifests skip such keys)."""
+    source = f"config file {args.config}"
+    unknown = set(config_file_values) - {dest for dest, *_ in _OPTIONS[command]}
+    if unknown:
+        names = ", ".join(map(repr, sorted(unknown)))
+        raise UsageError(f"{source}: {command} has no option {names}")
+    resolved = _typed(command, config_file_values, source)
     for dest in resolved:
         cli_value = getattr(args, dest, None)
         if cli_value is not None:
@@ -272,12 +277,10 @@ def _write_side_manifest(out_path, command, cfg, seed, tensor_hash=None):
 def _cmd_tensor_build(cfg: dict) -> int:
     _require(cfg, "tensor-build", "n_max")
     tensor = build_tensor(cfg["n_max"])
-    if cfg["quad_order"]:
-        tensor = dataclasses.replace(tensor, quad_order=cfg["quad_order"])
     out = cfg["out"]
     if out is None:
         pio.cache_dir().mkdir(parents=True, exist_ok=True)
-        out = pio.default_cache_path(cfg["n_max"], tensor.quad_order)
+        out = pio.default_cache_path(cfg["n_max"])
         cfg = dict(cfg, out=str(out))
     digest = pio.write_tensor_cache(tensor, out)
     _write_side_manifest(out, "tensor-build", cfg, None, tensor_hash=digest)

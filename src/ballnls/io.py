@@ -74,32 +74,29 @@ def cache_dir() -> Path:
     return Path(os.environ.get(CACHE_DIR_ENV, ".ballnls-cache"))
 
 
-def default_cache_path(n_max: int, quad_order: int = 0) -> Path:
-    return cache_dir() / f"tensor-n{n_max}-q{quad_order}.bin"
+def default_cache_path(n_max: int) -> Path:
+    return cache_dir() / f"tensor-n{n_max}-q0.bin"
 
 
 # ---------------------------------------------------------------------------
 # Tensor cache:
-#   magic "BBNLS3D1" | u32 format version | u32 n_max | u32 quad order |
-#   f64 bound constant | canonical values (f64, lexicographic sorted-tuple
-#   order) | 32-byte SHA-256 of everything preceding.
+#   magic "BBNLS3D1" | u32 format version | u32 n_max | u32 0 (a retired
+#   quadrature-order field, ignored on read) | f64 bound constant |
+#   canonical values (f64, lexicographic sorted-tuple order) | 32-byte
+#   SHA-256 of everything preceding.
 
 
 def write_tensor_cache(tensor: CorrelationTensor, path) -> str:
-    """Serialize; returns the hex digest of the payload."""
+    """Serialize; returns the file's SHA-256, as file_sha256 would."""
     body = bytearray()
     body += TENSOR_MAGIC
     body += struct.pack(
-        "<IIId",
-        TENSOR_FORMAT_VERSION,
-        tensor.n_max,
-        tensor.quad_order,
-        tensor.bound_constant,
+        "<IIId", TENSOR_FORMAT_VERSION, tensor.n_max, 0, tensor.bound_constant
     )
     body += tensor.values.astype("<f8").tobytes()
-    digest = hashlib.sha256(bytes(body)).digest()
-    atomic_write_bytes(path, bytes(body) + digest)
-    return digest.hex()
+    payload = bytes(body) + hashlib.sha256(body).digest()
+    atomic_write_bytes(path, payload)
+    return hashlib.sha256(payload).hexdigest()
 
 
 def read_tensor_cache(path) -> CorrelationTensor:
@@ -112,9 +109,7 @@ def read_tensor_cache(path) -> CorrelationTensor:
     body, digest = raw[:-32], raw[-32:]
     if hashlib.sha256(body).digest() != digest:
         raise StorageError(f"{path}: cache digest mismatch (corrupted file)")
-    version, n_max, quad_order, bound_constant = struct.unpack(
-        "<IIId", body[8:28]
-    )
+    version, n_max, _, bound_constant = struct.unpack("<IIId", body[8:28])
     if version != TENSOR_FORMAT_VERSION:
         raise StorageError(f"{path}: unsupported cache format version {version}")
     vals = np.frombuffer(body[28:], dtype="<f8")
@@ -125,7 +120,6 @@ def read_tensor_cache(path) -> CorrelationTensor:
         n_max=int(n_max),
         values=vals,
         bound_constant=float(bound_constant),
-        quad_order=int(quad_order),
     )
 
 

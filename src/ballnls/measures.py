@@ -121,20 +121,16 @@ class GibbsSample:
             raise DomainError("attempts must be >= 1")
 
 
-def _standard_complex(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard complex Gaussians with E|g|^2 = 1."""
-    return _complex_gaussian(rng.standard_normal(shape), rng.standard_normal(shape))
-
-
 def _complex_gaussian(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(x + iy)/sqrt(2) from real and imaginary standard normals."""
+    """(x + iy)/sqrt(2) from real and imaginary standard normals: standard
+    complex Gaussians with E|g|^2 = 1."""
     return (x + 1j * y) / np.sqrt(2.0)
 
 
 def sample_free(spec: FreeMeasureSpec, rng: RngStream) -> RadialState:
-    """Draw a_n = sigma_n g_n for n <= N; pure function of (spec, rng)."""
-    gen = rng.generator()
-    coeffs = spec.sigma * _standard_complex(gen, spec.N)
+    """Draw a_n = sigma_n g_n for n <= N from stream rng: the one-row case
+    of sample_free_batch."""
+    coeffs = sample_free_batch(spec, rng, 1)[0]
     return RadialState(N=spec.N, coeffs=coeffs, time=0.0)
 
 
@@ -146,34 +142,37 @@ _FREE_CHUNK = 1024
 def sample_free_batch(
     spec: FreeMeasureSpec, rng: RngStream, count: int
 ) -> np.ndarray:
-    """(count, N) coefficient matrix; row k uses stream rng.child(k).
+    """(count, N) coefficient matrix; row k draws from stream rng.child(k),
+    N real parts and then N imaginary parts of rng.child(k).generator().
 
-    Row k is bit-identical to ``sample_free(spec, rng.child(k)).coeffs``.
     Rather than a SeedSequence, a PCG64 and a Generator per row, the rows'
     PCG64 states are computed a chunk at a time (``_pcg64_states``) and set
     on one reused generator.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
+    gen = np.random.Generator(np.random.PCG64(0))
     out = np.empty((count, spec.N), dtype=complex)
     buf = np.empty((min(count, _FREE_CHUNK), 2, spec.N))
     for lo in range(0, count, _FREE_CHUNK):
         rows = buf[: min(_FREE_CHUNK, count - lo)]
         states = _pcg64_states(int(rng.seed), int(rng.stream_id) + lo, len(rows))
         for row, (lcg, inc) in zip(rows, states):
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": lcg, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            # N real parts, then N imaginary parts: _standard_complex's order
+            _set_pcg64(gen, lcg, inc)
             gen.standard_normal(out=row)
         x, y = rows[:, 0], rows[:, 1]
         out[lo : lo + len(rows)] = spec.sigma * _complex_gaussian(x, y)
     return out
+
+
+def _set_pcg64(gen: np.random.Generator, lcg: int, inc: int) -> None:
+    """Put gen's PCG64 in state (lcg, inc), as ``PCG64.state`` reports it."""
+    gen.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": lcg, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): pool size, hash and
@@ -326,22 +325,29 @@ def sample_gibbs_batch(
     """Vectorized rejection sampler for ensembles.
 
     Sample k draws from stream rng.child(k) until accepted, so results are
-    reproducible regardless of batching.  Quartic norms use the quadrature
-    path (cheap at ensemble scale).  Returns (coeffs, quartic_norms,
-    acceptance_rate).
+    reproducible regardless of batching: each round takes 2N normals and a
+    uniform from it, on one generator set to the row's PCG64 state, which
+    is kept between rounds.  Quartic norms use the quadrature path (cheap
+    at ensemble scale).  Returns (coeffs, quartic_norms, acceptance_rate).
     """
     if beta_q < 0:
         raise DomainError("beta_q must be >= 0")
-    gens = [rng.child(k).generator() for k in range(count)]
+    gen = np.random.Generator(np.random.PCG64(0))
+    states = _pcg64_states(int(rng.seed), int(rng.stream_id), count)
     coeffs = np.empty((count, spec.N), dtype=complex)
     quartics = np.empty(count)
     pending = np.arange(count)
     attempts_total = 0
     for _ in range(max_rounds):
-        draws = np.stack(
-            [spec.sigma * _standard_complex(gens[k], spec.N) for k in pending]
-        )
-        unis = np.array([gens[k].uniform() for k in pending])
+        normals = np.empty((pending.size, 2, spec.N))
+        unis = np.empty(pending.size)
+        for row, k in enumerate(pending):
+            lcg, inc = states[k]
+            _set_pcg64(gen, lcg, inc)
+            gen.standard_normal(out=normals[row])
+            unis[row] = gen.uniform()
+            states[k] = (gen.bit_generator.state["state"]["state"], inc)
+        draws = spec.sigma * _complex_gaussian(normals[:, 0], normals[:, 1])
         qn = _quartic_batch(draws)
         attempts_total += pending.size
         accept = unis < np.exp(-beta_q * qn)
@@ -383,7 +389,7 @@ def chaos_moment_ratio(
     step = max(1, 2**22 // max(alpha.size, 1))
     for lo in range(0, trials, step):
         m = min(step, trials - lo)
-        g = _standard_complex(gen, (m, alpha.size))
+        g = _complex_gaussian(*gen.standard_normal((2, m, alpha.size)))
         if centered:
             x = (np.abs(g) ** 2 - 1.0) @ alpha
         else:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -175,6 +177,33 @@ class TestCorrelationTensor:
     def test_cutoff_enforced(self, tensor):
         with pytest.raises(ResolutionError):
             tensor.value(9, 1, 1, 1)
+
+    def test_one_stored_array(self):
+        # the complex contraction matrix is the only N^4 array held:
+        # dense() views its real part
+        N = 24
+        tensor = build_tensor(N)
+        tracemalloc.start()
+        try:
+            tensor.contraction_matrix(N)
+            tensor.dense(N)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.05 * 16 * N**4
+
+    def test_dense_read_only(self, tensor):
+        C = tensor.dense(4)
+        with pytest.raises(ValueError):
+            C[0, 0, 0, 0] = 1.0
+        assert np.shares_memory(C, tensor.contraction_matrix(4))
+
+    def test_replaced_tensor_builds_its_own_matrix(self, tensor):
+        a = np.exp(1j * np.arange(8)) / np.arange(1, 9)
+        q = quartic_form(a, tensor)
+        scaled = dataclasses.replace(tensor, values=1.5 * tensor.values)
+        assert quartic_form(a, scaled) == pytest.approx(1.5 * q, rel=1e-13)
+        assert quartic_form(a, tensor) == q
 
     def test_truncated_view_zeroes_far_sets(self, tensor):
         view = TruncatedTensorView(base=tensor, K=1)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -61,6 +62,29 @@ class TestTensorBuild:
         ) == 3
         assert "disagrees with the radial quadrature" in capsys.readouterr().err
         assert not (tmp_path / "a.traj").exists()
+
+    def test_quad_order_option_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            run("tensor-build", "--n-max", 3, "--quad-order", 3)
+        assert info.value.code == 2
+
+    def test_recorded_hash_is_file_sha256(self, tmp_path):
+        # one cache file, one hash: whether the evolve built the cache or
+        # read it, the manifest records what sha256sum prints for it
+        built = tmp_path / "tensor.bin"
+        assert run("tensor-build", "--n-max", 4, "--out", built) == 0
+        runs = [(built, built)]
+        for name in ("miss", "hit"):
+            out = tmp_path / f"{name}.traj"
+            assert run(
+                "evolve", "--n", 4, "--t-end", 0.002, "--dt", 1e-3,
+                "--integrator", "reference", "--out", out,
+            ) == 0
+            runs.append((out, pio.default_cache_path(4)))
+        for out, cache in runs:
+            manifest = pio.read_manifest(str(out) + ".manifest.json")
+            digest = hashlib.sha256(Path(cache).read_bytes()).hexdigest()
+            assert manifest["tensor_cache_hash"] == digest, out
 
 
 class TestEvolve:
@@ -183,6 +207,19 @@ class TestReplay:
         assert run("replay", "--manifest", path, "--out-dir", tmp_path / "r") == 2
         err = capsys.readouterr().err
         assert str(path) in err and repr(key) in err
+
+    def test_old_tensor_build_manifest_replays(self, tmp_path):
+        # manifests written while tensor-build had a quad_order option
+        # carry it; replay ignores keys the command no longer has
+        out = tmp_path / "tensor.bin"
+        assert run("tensor-build", "--n-max", 3, "--out", out) == 0
+        path = Path(str(out) + ".manifest.json")
+        manifest = json.loads(path.read_text())
+        manifest["config_snapshot"]["quad_order"] = 0
+        path.write_text(json.dumps(manifest))
+        replay_dir = tmp_path / "replayed"
+        assert run("replay", "--manifest", path, "--out-dir", replay_dir) == 0
+        assert (replay_dir / "tensor.bin").read_bytes() == out.read_bytes()
 
     def test_snapshot_text_and_missing_keys_resolve(self, tmp_path):
         # "4" converts as a config-file value would; a missing seed and a
@@ -313,6 +350,9 @@ class TestConfigFile:
         [
             (("evolve", "--t-end", 0.01, "--out", "x.traj"), "n", "abc"),
             (("experiment", "blocks"), "samples", "1e3"),
+            # a misspelled key is refused, not silently ignored
+            (("evolve", "--n", 2, "--t-end", 0.01, "--out", "x.traj"),
+             "integrater", "collocation"),
         ],
     )
     def test_bad_value_type_exit_2(self, tmp_path, capsys, command, key, value):

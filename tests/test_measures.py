@@ -70,6 +70,12 @@ class TestFreeMeasure:
         assert np.array_equal(batch[1], single.coeffs)
 
 
+def one_stream_draw(spec, gen):
+    """sigma_n g_n from gen: N real parts, then N imaginary parts."""
+    x, y = gen.standard_normal(spec.N), gen.standard_normal(spec.N)
+    return spec.sigma * ((x + 1j * y) / np.sqrt(2.0))
+
+
 class TestFreeBatchExact:
     """Every row of sample_free_batch is the one-stream draw, bit for bit."""
 
@@ -80,7 +86,16 @@ class TestFreeBatchExact:
         batch = sample_free_batch(spec, rng, count)
         assert batch.shape == (count, N)
         for k in range(count):
-            assert np.array_equal(batch[k], sample_free(spec, rng.child(k)).coeffs), k
+            expected = one_stream_draw(spec, rng.child(k).generator())
+            assert np.array_equal(batch[k], expected), k
+
+    @pytest.mark.parametrize("N", [0, 1, 5, 64])
+    @pytest.mark.parametrize("seed, stream_id", [(0, 0), (2**70, 2**40)])
+    def test_sample_free_is_one_stream_draw(self, N, seed, stream_id):
+        spec = FreeMeasureSpec.derived(N)
+        rng = RngStream(seed, stream_id)
+        expected = one_stream_draw(spec, rng.generator())
+        assert np.array_equal(sample_free(spec, rng).coeffs, expected)
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
     @pytest.mark.parametrize("N", [1, 5, 64])
@@ -163,6 +178,34 @@ class TestGibbs:
         assert np.array_equal(A1, A2)
         assert rate1 == rate2
         assert 0 < rate1 <= 1
+
+    @pytest.mark.parametrize(
+        "N, beta_q, count, seed", [(4, 5.0, 200, 47), (8, 0.25, 300, 2**40)]
+    )
+    def test_batch_matches_per_row_generators(self, N, beta_q, count, seed):
+        # rejection rounds draw 2N normals and a uniform from each pending
+        # row's own generator, which keeps its state between rounds
+        spec = FreeMeasureSpec.derived(N)
+        rng = RngStream(seed)
+        gens = [rng.child(k).generator() for k in range(count)]
+        coeffs = np.empty((count, N), dtype=complex)
+        quartics = np.empty(count)
+        pending, attempts, rounds = np.arange(count), 0, 0
+        while pending.size:
+            draws = np.stack([one_stream_draw(spec, gens[k]) for k in pending])
+            unis = np.array([gens[k].uniform() for k in pending])
+            qn = _quartic_batch(draws)
+            accept = unis < np.exp(-beta_q * qn)
+            coeffs[pending[accept]] = draws[accept]
+            quartics[pending[accept]] = qn[accept]
+            attempts += pending.size
+            rounds += 1
+            pending = pending[~accept]
+        assert rounds > 2
+        got = sample_gibbs_batch(spec, beta_q, rng, count)
+        assert np.array_equal(got[0], coeffs)
+        assert np.array_equal(got[1], quartics)
+        assert got[2] == count / attempts
 
     def test_quartic_paths_agree(self, tensor):
         spec = FreeMeasureSpec.derived(6)
