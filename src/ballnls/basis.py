@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import sici
 
 from .errors import DomainError, ResolutionError
@@ -205,6 +204,10 @@ def correlation_quadrature(
     r = 0, in math-module scalars (~50x faster inside quad than numpy on
     scalars).  Serves as the oracle for the sine-integral closed form.
     """
+    # imported here: scipy.integrate pulls in scipy.optimize, linalg and
+    # sparse, ~0.5 s of every CLI start for a function only tests call
+    from scipy.integrate import quad
+
     n, n1, n2, n3 = (_check_index(v) for v in (n, n1, n2, n3))
     k, k1, k2, k3 = (math.pi * v for v in (n, n1, n2, n3))
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -72,9 +73,29 @@ class AssertionFailure(BallNlsError):
 # Option tables: (dest, type, default, help).  A single source of truth so
 # config files, flags, and manifests resolve identically.
 
+
+def _FLOAT(text) -> float:
+    """A float option's value: NaN is refused; inf is kept, because
+    `norms --q inf` is the sup norm.  ArgumentTypeError keeps argparse's
+    message the one it gives for any other bad float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    return value
+
+
 _INT = int
-_FLOAT = float
 _STR = str
+
+# what _finish reads; every experiment's table ends with these
+_REPORT_OPTIONS = [
+    ("seed", _INT, 0, "master seed"),
+    ("out_json", _STR, None, "report path"),
+    ("out_csv", _STR, None, "CSV extract path"),
+]
 
 
 _OPTIONS = {
@@ -102,47 +123,37 @@ _OPTIONS = {
         ("beta_q", _FLOAT, 0.25, "quartic inverse temperature"),
         ("preset", _STR, "derived", "sigma preset: derived | paper"),
         ("dt", _FLOAT, 1e-3, "integrator step"),
-        ("seed", _INT, 0, "master seed"),
-        ("out_json", _STR, None, "report path"),
-        ("out_csv", _STR, None, "CSV extract path"),
-    ],
+    ]
+    + _REPORT_OPTIONS,
     "tails": [
         ("norm_kind", _STR, "L4_x", "L4_x | mixed | xsb"),
         ("n", _INT, 64, "mode truncation"),
         ("samples", _INT, 100000, "ensemble size (>= 10^4)"),
         ("measure", _STR, "free", "free | gibbs"),
         ("kappa_min", _FLOAT, 1.5, "asserted lower bound on the exponent"),
-        ("seed", _INT, 0, "master seed"),
-        ("out_json", _STR, None, "report path"),
-        ("out_csv", _STR, None, "CSV extract path"),
-    ],
+    ]
+    + _REPORT_OPTIONS,
     "ladder": [
         ("n_values", _STR, "8,16,32,64", "comma-separated dyadic truncations"),
         ("s", _FLOAT, 0.4, "Sobolev index (< 1/2)"),
         ("t_end", _FLOAT, 0.5, "final model time"),
         ("dt", _FLOAT, None, "time step"),
         ("integrator", _STR, "collocation", "reference | collocation"),
-        ("seed", _INT, 0, "master seed"),
-        ("out_json", _STR, None, "report path"),
-        ("out_csv", _STR, None, "CSV extract path"),
-    ],
+    ]
+    + _REPORT_OPTIONS,
     "blocks": [
         ("n", _INT, 32, "mode truncation"),
         ("samples", _INT, 1000, "ensemble size (>= 10^3)"),
         ("n2_values", _STR, "4,8,16", "comma-separated chaos block sizes"),
-        ("seed", _INT, 0, "master seed"),
-        ("out_json", _STR, None, "report path"),
-        ("out_csv", _STR, None, "CSV extract path"),
-    ],
+    ]
+    + _REPORT_OPTIONS,
     "embeddings": [
         ("clause", _STR, "i", "Lemma-4 clause id: i | iii | vii"),
         ("n", _INT, 32, "spectrum truncation"),
         ("trials", _INT, 100, "random spectra per run"),
         ("baseline", _STR, None, "report JSON from a smaller-N run"),
-        ("seed", _INT, 0, "master seed"),
-        ("out_json", _STR, None, "report path"),
-        ("out_csv", _STR, None, "CSV extract path"),
-    ],
+    ]
+    + _REPORT_OPTIONS,
     "norms": [
         ("infile", _STR, None, "trajectory file (required)"),
         ("kind", _STR, None, "hs | mixed | xsb | triple (required)"),
@@ -180,7 +191,7 @@ def _typed(command: str, values: dict, source: str) -> dict:
         else:
             try:
                 value = typ(str(value))
-            except ValueError as err:
+            except (ValueError, argparse.ArgumentTypeError) as err:
                 raise UsageError(
                     f"{source}: bad value {value!r} for {dest!r}"
                 ) from err
@@ -258,6 +269,21 @@ def _write_report(path, command, cfg, payload, seed):
     )
 
 
+def _finish(command, cfg, payload, header, rows, lines, failure) -> int:
+    """An experiment's epilogue: the --out-json report and the --out-csv
+    table (header, rows) when asked for, then lines on stdout, then
+    AssertionFailure when failure names a threshold that did not hold."""
+    if cfg["out_json"]:
+        _write_report(cfg["out_json"], command, cfg, payload, cfg["seed"])
+    if cfg["out_csv"]:
+        pio.write_csv(cfg["out_csv"], header, rows)
+    for line in lines:
+        print(line)
+    if failure:
+        raise AssertionFailure(f"{command}: {failure}")
+    return EXIT_OK
+
+
 def _write_side_manifest(out_path, command, cfg, seed, tensor_hash=None):
     manifest = pio.build_manifest(
         command,
@@ -308,10 +334,10 @@ def _check_cached_tensor(tensor, n: int, path) -> None:
 def _load_or_build_tensor(n: int):
     path = pio.default_cache_path(n)
     if Path(path).exists():
-        tensor = pio.read_tensor_cache(path)
+        tensor, digest = pio.read_tensor_cache(path)
         if tensor.n_max >= n:
             _check_cached_tensor(tensor, n, path)
-            return tensor, pio.file_sha256(path)
+            return tensor, digest
     tensor = build_tensor(n)
     pio.cache_dir().mkdir(parents=True, exist_ok=True)
     digest = pio.write_tensor_cache(tensor, path)
@@ -385,23 +411,16 @@ def _cmd_invariance(cfg: dict) -> int:
             for n, k, c in report.observables
         ],
     }
-    if cfg["out_json"]:
-        _write_report(cfg["out_json"], "invariance", cfg, payload, cfg["seed"])
-    if cfg["out_csv"]:
-        pio.write_csv(
-            cfg["out_csv"],
-            ["observable", "ks_statistic", "critical_1pct"],
-            [(n, float(k), float(c)) for n, k, c in report.observables],
-        )
-    for name, ks, crit in report.observables:
-        print(f"{name}: KS={ks:.5f} critical={crit:.5f}")
+    rows = [(n, float(k), float(c)) for n, k, c in report.observables]
+    failure = None
     if not report.all_pass():
-        worst = max(report.observables, key=lambda row: row[1] - row[2])
-        raise AssertionFailure(
-            f"invariance: observable {worst[0]!r} KS={worst[1]:.5f} exceeds "
-            f"the 1% critical value {worst[2]:.5f}"
+        name, ks, crit = max(rows, key=lambda row: row[1] - row[2])
+        failure = (
+            f"observable {name!r} KS={ks:.5f} exceeds the 1% critical value {crit:.5f}"
         )
-    return EXIT_OK
+    lines = [f"{n}: KS={k:.5f} critical={c:.5f}" for n, k, c in rows]
+    header = ["observable", "ks_statistic", "critical_1pct"]
+    return _finish("invariance", cfg, payload, header, rows, lines, failure)
 
 
 def _cmd_tails(cfg: dict) -> int:
@@ -420,31 +439,25 @@ def _cmd_tails(cfg: dict) -> int:
         "lambda_grid": fit.lambda_grid,
         "empirical_log_survival": fit.empirical_log_survival,
     }
-    if cfg["out_json"]:
-        _write_report(cfg["out_json"], "tails", cfg, payload, cfg["seed"])
-    if cfg["out_csv"]:
-        pio.write_csv(
-            cfg["out_csv"],
-            ["lambda", "log_survival"],
-            list(zip(fit.lambda_grid.tolist(), fit.empirical_log_survival.tolist())),
-        )
-    print(
+    rows = list(zip(fit.lambda_grid.tolist(), fit.empirical_log_survival.tolist()))
+    line = (
         f"kappa={fit.fitted_kappa:.4f} (+-{fit.kappa_stderr:.4f}) "
         f"c={fit.fitted_c:.4g}"
     )
+    failure = None
     if fit.fitted_kappa < cfg["kappa_min"]:
-        raise AssertionFailure(
-            f"tails: fitted exponent {fit.fitted_kappa:.4f} below the "
-            f"threshold {cfg['kappa_min']}"
+        failure = (
+            f"fitted exponent {fit.fitted_kappa:.4f} below the threshold "
+            f"{cfg['kappa_min']}"
         )
-    return EXIT_OK
+    header = ["lambda", "log_survival"]
+    return _finish("tails", cfg, payload, header, rows, [line], failure)
 
 
 def _cmd_ladder(cfg: dict) -> int:
-    n_values = _parse_n_list(cfg["n_values"])
     ladder = run_convergence_ladder(
         seed=cfg["seed"],
-        N_values=n_values,
+        N_values=_parse_n_list(cfg["n_values"]),
         s=cfg["s"],
         t_end=cfg["t_end"],
         dt=cfg["dt"],
@@ -457,27 +470,16 @@ def _cmd_ladder(cfg: dict) -> int:
         "s": ladder.s,
         "t_end": ladder.t_end,
     }
-    if cfg["out_json"]:
-        _write_report(cfg["out_json"], "ladder", cfg, payload, cfg["seed"])
-    if cfg["out_csv"]:
-        pio.write_csv(
-            cfg["out_csv"],
-            ["N_low", "D_N"],
-            list(zip(ladder.N_values[:-1], ladder.diffs.tolist())),
+    rows = list(zip(ladder.N_values[:-1], ladder.diffs.tolist()))
+    diffs = " ".join(f"{n}:{d:.6g}" for n, d in rows)
+    line = f"D_N: {diffs} exponent={ladder.fitted_exponent:.4f}"
+    failure = None
+    if not (np.all(np.diff(ladder.diffs) < 0) and ladder.fitted_exponent > 0):
+        failure = (
+            "diffs not strictly decreasing with positive fitted exponent "
+            f"(diffs={ladder.diffs.tolist()}, exponent={ladder.fitted_exponent})"
         )
-    print(
-        "D_N:",
-        " ".join(f"{n}:{d:.6g}" for n, d in zip(ladder.N_values[:-1], ladder.diffs)),
-        f"exponent={ladder.fitted_exponent:.4f}",
-    )
-    decreasing = bool(np.all(np.diff(ladder.diffs) < 0))
-    if not (decreasing and ladder.fitted_exponent > 0):
-        raise AssertionFailure(
-            "ladder: diffs not strictly decreasing with positive fitted "
-            f"exponent (diffs={ladder.diffs.tolist()}, "
-            f"exponent={ladder.fitted_exponent})"
-        )
-    return EXIT_OK
+    return _finish("ladder", cfg, payload, ["N_low", "D_N"], rows, [line], failure)
 
 
 def _cmd_blocks(cfg: dict) -> int:
@@ -494,22 +496,14 @@ def _cmd_blocks(cfg: dict) -> int:
         "block_median": float(np.median(report.block_values)),
         "chaos_medians": report.chaos_medians,
     }
-    if cfg["out_json"]:
-        _write_report(cfg["out_json"], "blocks", cfg, payload, cfg["seed"])
-    if cfg["out_csv"]:
-        pio.write_csv(
-            cfg["out_csv"],
-            ["N2", "chaos_median"],
-            [(n2, report.chaos_medians[n2]) for n2 in n2_values],
-        )
-    for n2 in n2_values:
-        print(f"N2={n2}: chaos median {report.chaos_medians[n2]:.6g}")
+    rows = [(n2, report.chaos_medians[n2]) for n2 in n2_values]
+    lines = [f"N2={n2}: chaos median {m:.6g}" for n2, m in rows]
     lo, hi = min(n2_values), max(n2_values)
+    failure = None
     if report.chaos_medians[hi] > report.chaos_medians[lo]:
-        raise AssertionFailure(
-            f"blocks: chaos median did not decay from N2={lo} to N2={hi}"
-        )
-    return EXIT_OK
+        failure = f"chaos median did not decay from N2={lo} to N2={hi}"
+    header = ["N2", "chaos_median"]
+    return _finish("blocks", cfg, payload, header, rows, lines, failure)
 
 
 def _cmd_embeddings(cfg: dict) -> int:
@@ -526,15 +520,10 @@ def _cmd_embeddings(cfg: dict) -> int:
         "max_ratio": report.max_ratio,
         "ratios": report.ratios,
     }
-    if cfg["out_json"]:
-        _write_report(cfg["out_json"], "embeddings", cfg, payload, cfg["seed"])
-    if cfg["out_csv"]:
-        pio.write_csv(
-            cfg["out_csv"],
-            ["trial", "ratio"],
-            list(enumerate(report.ratios.tolist())),
-        )
-    print(f"clause ({report.clause}) N={report.N}: max ratio {report.max_ratio:.4f}")
+    rows = list(enumerate(report.ratios.tolist()))
+    line = f"clause ({report.clause}) N={report.N}: max ratio {report.max_ratio:.4f}"
+    # the outputs are on disk before the baseline is read
+    _finish("embeddings", cfg, payload, ["trial", "ratio"], rows, [line], None)
     if cfg["baseline"]:
         try:
             baseline = json.loads(Path(cfg["baseline"]).read_text("utf-8"))

@@ -93,9 +93,9 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("reference_rk4", "collocation_split"):
             raise DomainError(f"unknown integrator method {self.method!r}")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise DomainError("dt must be positive")
-        if self.dt_record is not None and self.dt_record < self.dt:
+        if self.dt_record is not None and not self.dt_record >= self.dt:
             raise DomainError("dt_record must be >= dt")
 
 
@@ -326,8 +326,11 @@ def evolve_batch(
     span = t_end - t0
     if span < 0:
         raise DomainError("t_end must be >= t0")
-    steps = max(0, int(round(span / config.dt)))
-    if steps > 0 and abs(steps * config.dt - span) > 1e-9 * max(span, config.dt):
+    if not np.isfinite(span):
+        raise DomainError("(t_end - t0) must be finite")
+    steps = int(round(span / config.dt))
+    # a span shorter than dt/2 rounds to no step at all, so it is checked too
+    if span > 0 and not abs(steps * config.dt - span) <= 1e-9 * max(span, config.dt):
         raise DomainError("(t_end - t0) must be an integer multiple of dt")
     if config.dt_record is None:
         rec_every = max(1, steps // 1024)

@@ -27,6 +27,7 @@ from .errors import (
     PrecisionError,
 )
 from .measures import (
+    DEFAULT_BETA_Q,
     FreeMeasureSpec,
     RngStream,
     _quartic_batch,
@@ -245,27 +246,28 @@ def run_tail_experiment(
     measure: str = "free",
     rng: RngStream | None = None,
     params: NormParams | None = None,
-    beta_q: float = 0.25,
-    preset: str = "derived",
     bootstrap: int = 32,
-    coupling: float = 1.0,
-    dt: float = 1e-3,
 ) -> TailFit:
-    """Monte Carlo survival curve and stretched-exponential tail fit."""
+    """Monte Carlo survival curve and stretched-exponential tail fit.
+
+    Samples come from the derived-sigma free measure, or from its Gibbs
+    measure at DEFAULT_BETA_Q (the invariant pair); the space-time kinds
+    evolve them at unit coupling (_norm_samples with dt = 1e-3).
+    """
     if N < 1:
         raise DomainError("N must be >= 1")
     if samples < 10_000:
         raise PrecisionError("tail resolution needs samples >= 10^4")
     rng = rng if rng is not None else RngStream(seed=0)
     params = params if params is not None else NormParams()
-    spec = FreeMeasureSpec.from_preset(preset, N)
+    spec = FreeMeasureSpec.derived(N)
     if measure == "free":
         A = sample_free_batch(spec, rng, samples)
     elif measure == "gibbs":
-        A, _, _ = sample_gibbs_batch(spec, beta_q, rng, samples)
+        A, _, _ = sample_gibbs_batch(spec, DEFAULT_BETA_Q, rng, samples)
     else:
         raise DomainError(f"unknown measure {measure!r}")
-    values = _norm_samples(norm_kind, A, params, dt, coupling)
+    values = _norm_samples(norm_kind, A, params, dt=1e-3, coupling=1.0)
     if np.ptp(values) == 0:
         raise FitDegenerateError("tail fit degenerate: point-mass distribution")
     grid, log_surv, c_hat, kappa_hat = _fit_tail(values)
@@ -349,11 +351,12 @@ def run_block_observables(
     samples: int,
     rng: RngStream | None = None,
     n2_values: tuple = (4, 8, 16),
-    coupling: float = 1.0,
-    preset: str = "derived",
-    dt: float = 1.0 / 1024,
 ) -> BlockReport:
-    """Free-measure ensembles evolved over a unit window, Lemma-7/8 style."""
+    """Free-measure ensembles evolved over a unit window, Lemma-7/8 style.
+
+    Derived-sigma free samples, unit coupling, Strang steps of 1/1024 and
+    records every 1/256.
+    """
     if samples < 1000:
         raise DomainError("block observables need samples >= 10^3")
     if min(n2_values) < 1:
@@ -364,14 +367,10 @@ def run_block_observables(
             f"{2 * max(n2_values) - 1})"
         )
     rng = rng if rng is not None else RngStream(seed=0)
-    spec = FreeMeasureSpec.from_preset(preset, N)
+    spec = FreeMeasureSpec.derived(N)
     dt_rec = 1.0 / 256
-    steps_per_rec = max(1, int(round(dt_rec / dt)))
     config = IntegratorConfig(
-        method="collocation_split",
-        dt=dt_rec / steps_per_rec,
-        dt_record=dt_rec,
-        coupling=coupling,
+        method="collocation_split", dt=dt_rec / 4, dt_record=dt_rec
     )
     block_vals = np.empty(samples)
     avg_gsq = np.empty((samples, N))
@@ -427,14 +426,13 @@ def run_convergence_ladder(
     t_end: float,
     dt: float | None = None,
     integrator: str = "collocation_split",
-    preset: str = "derived",
     coupling: float = 1.0,
     record_points: int = 64,
 ) -> ConvergenceLadder:
     """Common-random-numbers dyadic truncation comparison.
 
     One master draw g_n for all n <= max(N_values); each run starts from
-    the first N coordinates of the same sigma_n g_n.  D_N is the sup over
+    the first N coordinates of the same derived sigma_n g_n.  D_N is the sup over
     the shared recording grid of the H^s distance between consecutive
     truncations, the smaller run zero-padded to the larger mode range.
     """
@@ -447,8 +445,10 @@ def run_convergence_ladder(
         raise DomainError("N_values must be non-decreasing")
     if not s < 0.5:
         raise DomainError("ladder requires s < 1/2")
+    if dt is not None and not dt > 0:
+        raise DomainError("dt must be positive")
     N_max = max(N_values)
-    master = sample_free(FreeMeasureSpec.from_preset(preset, N_max), RngStream(seed))
+    master = sample_free(FreeMeasureSpec.derived(N_max), RngStream(seed))
     dt_rec = t_end / record_points
     if dt is None:
         steps_per_rec = max(1, math.ceil(dt_rec / 2.5e-4))
@@ -540,18 +540,13 @@ class EmbeddingReport:
         return float(np.max(self.ratios))
 
 
-def random_spectrum(
-    N: int,
-    gen: np.random.Generator,
-    mode_decay: float = 1.0,
-    modulation_decay: float = 1.0,
-) -> SpaceTimeSpectrum:
-    """Gaussian coefficients with a power-law modulation-decay profile."""
+def random_spectrum(N: int, gen: np.random.Generator) -> SpaceTimeSpectrum:
+    """Gaussian coefficients weighted by n^-1 <n^2 - m>^-1."""
     M_half = 2 * N * N
     m = np.arange(-M_half, M_half + 1)
     n_sq = (np.arange(1, N + 1) ** 2)[:, None]
-    weight = np.arange(1, N + 1, dtype=float)[:, None] ** -mode_decay
-    weight = weight * (1.0 + np.abs(n_sq - m[None, :])) ** -modulation_decay
+    weight = np.arange(1, N + 1, dtype=float)[:, None] ** -1.0
+    weight = weight * (1.0 + np.abs(n_sq - m[None, :])) ** -1.0
     shape = (N, 2 * M_half + 1)
     g = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
     return SpaceTimeSpectrum(N=N, M_half=M_half, values=g * weight)
@@ -563,8 +558,6 @@ def run_embedding_study(
     trials: int,
     rng: RngStream | None = None,
     params: NormParams | None = None,
-    mode_decay: float = 1.0,
-    modulation_decay: float = 1.0,
 ) -> EmbeddingReport:
     """Distribution of mixed_norm / xsb_norm over random spectra."""
     if N < 1:
@@ -583,9 +576,7 @@ def run_embedding_study(
     samples_t = 16 * N * N
     ratios = np.empty(trials)
     for k in range(trials):
-        spec = random_spectrum(
-            N, rng.child(k).generator(), mode_decay, modulation_decay
-        )
+        spec = random_spectrum(N, rng.child(k).generator())
         denom = xsb_norm(spec, params.s, params.b)
         if denom == 0:
             raise DomainError("zero spectrum excluded from the ratio study")

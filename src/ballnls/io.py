@@ -40,7 +40,6 @@ __all__ = [
     "default_cache_path",
     "write_tensor_cache",
     "read_tensor_cache",
-    "file_sha256",
     "write_trajectory",
     "read_trajectory",
     "build_manifest",
@@ -63,13 +62,6 @@ def atomic_write_bytes(path, payload: bytes) -> None:
         raise StorageError(f"cannot write {path}: {err}") from err
 
 
-def file_sha256(path) -> str:
-    try:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    except OSError as err:
-        raise StorageError(f"cannot read {path}: {err}") from err
-
-
 def cache_dir() -> Path:
     return Path(os.environ.get(CACHE_DIR_ENV, ".ballnls-cache"))
 
@@ -87,7 +79,7 @@ def default_cache_path(n_max: int) -> Path:
 
 
 def write_tensor_cache(tensor: CorrelationTensor, path) -> str:
-    """Serialize; returns the file's SHA-256, as file_sha256 would."""
+    """Serialize; returns the SHA-256 of the file written."""
     body = bytearray()
     body += TENSOR_MAGIC
     body += struct.pack(
@@ -99,7 +91,8 @@ def write_tensor_cache(tensor: CorrelationTensor, path) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def read_tensor_cache(path) -> CorrelationTensor:
+def read_tensor_cache(path) -> tuple[CorrelationTensor, str]:
+    """The cached tensor and the SHA-256 of the file it was read from."""
     try:
         raw = Path(path).read_bytes()
     except OSError as err:
@@ -116,11 +109,12 @@ def read_tensor_cache(path) -> CorrelationTensor:
     expected = math.comb(n_max + 3, 4)
     if vals.size != expected:
         raise StorageError(f"{path}: expected {expected} values, found {vals.size}")
-    return CorrelationTensor(
+    tensor = CorrelationTensor(
         n_max=int(n_max),
         values=vals,
         bound_constant=float(bound_constant),
     )
+    return tensor, hashlib.sha256(raw).hexdigest()
 
 
 # ---------------------------------------------------------------------------

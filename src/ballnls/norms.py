@@ -57,7 +57,6 @@ __all__ = [
 @dataclass(frozen=True)
 class TimeWindow:
     t0: float = 0.0
-    length: float = 1.0
     taper: str = "none"
 
 
@@ -103,7 +102,6 @@ class NormParams:
     b: float = 0.0
     p: float = 2.0
     q: float = 2.0
-    T: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -237,7 +235,7 @@ def spectrum_from_samples(
         N=N,
         M_half=int(M_half),
         values=coef[:, cols],
-        window=TimeWindow(t0=t0, length=1.0, taper=taper),
+        window=TimeWindow(t0=t0, taper=taper),
     )
 
 

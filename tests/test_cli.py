@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ from ballnls.cli import _OPTIONS, main
 from ballnls.measures import FreeMeasureSpec
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -24,6 +28,14 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def exit_code(*argv):
+    """main's return value, or the code argparse exits with."""
+    try:
+        return run(*argv)
+    except SystemExit as err:
+        return err.code
+
+
 class TestTensorBuild:
     def test_build_and_rebuild_byte_identical(self, tmp_path):
         out = tmp_path / "tensor.bin"
@@ -31,8 +43,9 @@ class TestTensorBuild:
         first = out.read_bytes()
         assert run("tensor-build", "--n-max", 4, "--out", out) == 0
         assert out.read_bytes() == first
-        tensor = pio.read_tensor_cache(out)
+        tensor, digest = pio.read_tensor_cache(out)
         assert len(tensor.values) == math.comb(4 + 3, 4)
+        assert digest == hashlib.sha256(first).hexdigest()
 
     def test_invalid_cutoff(self, capsys):
         assert run("tensor-build", "--n-max", 0) == 2
@@ -142,6 +155,17 @@ class TestEvolve:
         assert times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0], abs=1e-12)
         assert run("norms", "--in", out, "--kind", "mixed") == 2
         assert "records are not uniform" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_end", ["0.04", "inf"])
+    def test_span_not_whole_steps_exit_2(self, tmp_path, capsys, t_end):
+        # 0.04 is less than half a step of 0.1: no step would run
+        out = tmp_path / "c.traj"
+        assert run(
+            "evolve", "--n", 4, "--t-end", t_end, "--dt", 0.1,
+            "--integrator", "collocation", "--out", out,
+        ) == 2
+        assert "t_end - t0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_modes_exit_2(self, tmp_path, capsys):
         assert run(
@@ -331,6 +355,58 @@ class TestExperiments:
         assert run("experiment", "embeddings", "--clause", "ix", "--trials", 2) == 2
 
 
+class TestInvalidNumbers:
+    EVOLVE = ("evolve", "--n", 4, "--t-end", 0.01, "--out", "x.traj")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (EVOLVE + ("--dt", "nan"), "argument --dt: invalid float value: 'nan'"),
+            (EVOLVE + ("--t-end", "nan"), "argument --t-end"),
+            (EVOLVE + ("--dt-record", "nan"), "argument --dt-record"),
+            (EVOLVE + ("--measure", "gibbs", "--beta-q", "nan"),
+             "argument --beta-q"),
+            (EVOLVE + ("--coupling", "nan"), "argument --coupling"),
+            (("experiment", "invariance", "--t-compare", "nan"),
+             "argument --t-compare"),
+            (("experiment", "invariance", "--dt", "nan"), "argument --dt"),
+            (("experiment", "ladder", "--t-end", "nan"), "argument --t-end"),
+            (("experiment", "tails", "--kappa-min", "nan"), "argument --kappa-min"),
+            (("experiment", "ladder", "--dt", 0), "dt must be positive"),
+        ],
+    )
+    def test_exit_2_naming_the_option(
+        self, tmp_path, monkeypatch, capsys, argv, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert exit_code(*argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.traj").exists()
+
+    def test_inf_stays_legal(self, tmp_path, capsys):
+        out = tmp_path / "run.traj"
+        assert run(
+            "evolve", "--n", 2, "--t-end", 0.01, "--dt", 1e-3,
+            "--integrator", "collocation", "--out", out,
+        ) == 0
+        assert run("norms", "--in", out, "--kind", "mixed", "--q", "inf") == 0
+
+
+class TestStartup:
+    def test_cli_import_skips_scipy_integrate(self):
+        # scipy.integrate serves only the quadrature oracle the tests call
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(SRC), env.get("PYTHONPATH")))
+        )
+        code = "import sys, ballnls.cli; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
+        ).stdout
+        assert out.strip() == "False"
+
+
 class TestConfigFile:
     def test_resolution_order(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -353,6 +429,7 @@ class TestConfigFile:
             # a misspelled key is refused, not silently ignored
             (("evolve", "--n", 2, "--t-end", 0.01, "--out", "x.traj"),
              "integrater", "collocation"),
+            (("evolve", "--n", 2, "--t-end", 0.01, "--out", "x.traj"), "dt", "nan"),
         ],
     )
     def test_bad_value_type_exit_2(self, tmp_path, capsys, command, key, value):

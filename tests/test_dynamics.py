@@ -44,6 +44,9 @@ class TestState:
             IntegratorConfig(method="leapfrog")
         with pytest.raises(DomainError):
             IntegratorConfig(dt=1e-3, dt_record=1e-4)
+        for bad in ({"dt": np.nan}, {"dt": 1e-3, "dt_record": np.nan}):
+            with pytest.raises(DomainError):
+                IntegratorConfig(**bad)
 
 
 class TestLinearFlow:
@@ -144,6 +147,14 @@ class TestEvolveBookkeeping:
     def test_non_multiple_dt_rejected(self, tensor):
         with pytest.raises(DomainError):
             evolve(small_state(), 0.0105, IntegratorConfig(dt=1e-3), tensor=tensor)
+
+    # 0.04 rounds to zero steps of 0.1, and an infinite span to no count
+    @pytest.mark.parametrize("t_end", [0.04, np.inf])
+    def test_span_not_whole_steps_rejected(self, t_end):
+        A = small_state().coeffs[None, :]
+        cfg = IntegratorConfig(method="collocation_split", dt=0.1)
+        with pytest.raises(DomainError, match="t_end - t0"):
+            evolve_batch(A, 0.0, t_end, cfg)
 
     def test_batch_matches_single(self, tensor):
         state = small_state(seed=9)
