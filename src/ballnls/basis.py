@@ -93,15 +93,15 @@ def gauss_legendre_rule(panels: int, degree: int = 8) -> QuadratureRule:
     return QuadratureRule(nodes, weights, order=nodes.size)
 
 
-def rule_for_modes(n_top: int, nodes_per_oscillation: int = 8) -> QuadratureRule:
+def rule_for_modes(n_top: int) -> QuadratureRule:
     """Rule resolving products of modes up to n_top.
 
-    sin(n_top*pi*r) has n_top half-oscillations on [0,1]; we place
-    `nodes_per_oscillation` nodes on each.
+    sin(n_top*pi*r) has n_top half-oscillations on [0,1]; we place 8 nodes
+    on each.
     """
     if n_top < 1:
         raise DomainError("n_top must be >= 1")
-    total = max(32, nodes_per_oscillation * n_top)
+    total = max(32, 8 * n_top)
     degree = 8
     panels = max(4, math.ceil(total / degree))
     return gauss_legendre_rule(panels, degree)
@@ -195,14 +195,13 @@ def correlation(n: int, n1: int, n2: int, n3: int) -> float:
     return float(_correlation_batch(np.array([index]))[0])
 
 
-def correlation_quadrature(
-    n: int, n1: int, n2: int, n3: int, tol: float = 1e-12
-) -> float:
+def correlation_quadrature(n: int, n1: int, n2: int, n3: int) -> float:
     """Independent adaptive-quadrature path for c(n,n1,n2,n3).
 
     Integrates prod e_{n_i}(r) * r^2 = prod sin(n_i pi r) / r^2, zero at
     r = 0, in math-module scalars (~50x faster inside quad than numpy on
-    scalars).  Serves as the oracle for the sine-integral closed form.
+    scalars), to 1e-12 absolute and relative.  Serves as the oracle for
+    the sine-integral closed form.
     """
     # imported here: scipy.integrate pulls in scipy.optimize, linalg and
     # sparse, ~0.5 s of every CLI start for a function only tests call
@@ -216,23 +215,30 @@ def correlation_quadrature(
         return s / (r * r) if r else 0.0
 
     limit = max(200, 4 * (n + n1 + n2 + n3))
-    val, _ = quad(integrand, 0.0, 1.0, epsabs=tol, epsrel=tol, limit=limit)
+    val, _ = quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=limit)
     return float(4.0 * np.pi * val)
 
 
 def _correlation_batch(tuples: np.ndarray) -> np.ndarray:
-    """Vectorized closed form over an (M, 4) integer index array."""
-    n, n1, n2, n3 = tuples.T.astype(float)
+    """Vectorized closed form over an (M, 4) integer index array.
+
+    Each entry is a signed sum of F(|k|) = (1 - cos |k| pi) - |k| pi Si(|k| pi)
+    over eight sums k = n +- n1 +- n2 +- n3.  Only the |k| up to the
+    largest sum occur, so F is tabulated once per |k| and gathered.
+    """
+    n, n1, n2, n3 = np.asarray(tuples, dtype=np.int64).T
     s1, s2 = n - n1, n + n1
     s3, s4 = n2 - n3, n2 + n3
-    ks = np.stack(
-        [s1 - s3, s1 + s3, s1 - s4, s1 + s4, s2 - s3, s2 + s3, s2 - s4, s2 + s4],
-        axis=1,
+    ks = np.abs(
+        np.stack(
+            [s1 - s3, s1 + s3, s1 - s4, s1 + s4, s2 - s3, s2 + s3, s2 - s4, s2 + s4],
+            axis=1,
+        )
     )
+    q = np.arange(ks.max() + 1) * np.pi
+    F = (1.0 - np.cos(q)) - q * sici(q)[0]
     eps = np.array([1, 1, -1, -1, -1, -1, 1, 1], dtype=float)
-    q = np.abs(ks) * np.pi
-    si = sici(q)[0]
-    return 4.0 * np.pi * ((eps * ((1.0 - np.cos(q)) - q * si)).sum(axis=1)) / 8.0
+    return 4.0 * np.pi * ((eps * F[ks]).sum(axis=1)) / 8.0
 
 
 def _canonical_tuples(n_max: int) -> np.ndarray:

@@ -11,7 +11,8 @@ ball is t_phys = (2/pi) t_model; the two are never mixed.
 Two integrators:
 
 * ``reference_rk4`` -- classical RK4 applied in the rotating (interaction)
-  frame b_n = a_n e(n^2 t), with exact tensor contraction for G.  The
+  frame b_n = a_n e(n^2 t), with exact tensor contraction for G (the
+  caller's tensor, or build_tensor(N) when it passes none).  The
   linear phases are exact, so mass/energy drift comes only from the RK4
   error on the (small) nonlinear term; plain RK4 on the stiff full ODE
   cannot meet the conservation budget at the default step size.
@@ -22,11 +23,18 @@ Two integrators:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CorrelationTensor, cubic_term, eval_matrix, rule_for_modes
+from .basis import (
+    CorrelationTensor,
+    build_tensor,
+    cubic_term,
+    eval_matrix,
+    rule_for_modes,
+)
 from .errors import BlowUpError, DomainError, ResolutionError
 
 __all__ = [
@@ -93,10 +101,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("reference_rk4", "collocation_split"):
             raise DomainError(f"unknown integrator method {self.method!r}")
-        if not self.dt > 0:
-            raise DomainError("dt must be positive")
-        if self.dt_record is not None and not self.dt_record >= self.dt:
-            raise DomainError("dt_record must be >= dt")
+        if not 0 < self.dt < math.inf:
+            raise DomainError("dt must be positive and finite")
+        if self.dt_record is not None and not self.dt <= self.dt_record < math.inf:
+            raise DomainError("dt_record must be finite and >= dt")
 
 
 @dataclass(frozen=True)
@@ -210,9 +218,7 @@ def _stepper(N: int, config: IntegratorConfig, tensor: CorrelationTensor | None)
     """stepper(A, t): one step of config.method for a (samples, N) batch."""
     nsq = np.arange(1, N + 1, dtype=float) ** 2
     if config.method == "reference_rk4":
-        if tensor is None:
-            raise DomainError("reference integrator requires a correlation tensor")
-        M1 = tensor.contraction_matrix(N)
+        M1 = (tensor if tensor is not None else build_tensor(N)).contraction_matrix(N)
         return lambda A, t: _rk4_batch(A, t, config.dt, M1, nsq, config.coupling)
     E, P = _collocation_ops(N)
     return lambda A, t: _strang_batch(A, config.dt, E, P, nsq, config.coupling)
@@ -319,9 +325,11 @@ def evolve_batch(
 
     The workhorse behind evolve() and the experiment drivers; a single
     trajectory is the samples=1 case.  Recording happens every
-    round(dt_record/dt) steps, always including both endpoints.
+    round(dt_record/dt) steps, always including both endpoints, into one
+    array allocated up front.  The reference integrator builds its own
+    tensor when none is passed.
     """
-    A = np.asarray(coeffs, dtype=complex).copy()
+    A = np.asarray(coeffs, dtype=complex)
     S, N = A.shape
     span = t_end - t0
     if span < 0:
@@ -341,8 +349,12 @@ def evolve_batch(
 
     stepper = _stepper(N, config, tensor)
 
-    rec_times = [t0]
-    rec_coeffs = [A.copy()]
+    # t0, every rec_every-th step, and the last step
+    count = 1 + -(-steps // rec_every)
+    times = np.empty(count)
+    records = np.empty((count, S, N), dtype=complex)
+    times[0], records[0] = t0, A
+    k = 1
     mass_prev = _mass(A)
     t = t0
     try:
@@ -351,9 +363,9 @@ def evolve_batch(
             t = t0 + step * config.dt
             if step % rec_every == 0 or step == steps:
                 mass_prev = _check_record(A, mass_prev, t)
-                rec_times.append(t)
-                rec_coeffs.append(A.copy())
+                times[k], records[k] = t, A
+                k += 1
     except BlowUpError as err:
-        err.partial_trajectory = (np.array(rec_times), np.stack(rec_coeffs))
+        err.partial_trajectory = (times[:k], records[:k])
         raise
-    return np.array(rec_times), np.stack(rec_coeffs)
+    return times, records

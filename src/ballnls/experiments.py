@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (
-    _correlation_batch,
-    build_tensor,
-    rule_for_modes,
-    trapezoid_weights,
-)
+from .basis import _correlation_batch, rule_for_modes, trapezoid_weights
 from .dynamics import IntegratorConfig, evolve_batch
 from .errors import (
     BlowUpError,
@@ -59,7 +54,6 @@ __all__ = [
     "run_block_observables",
     "run_convergence_ladder",
     "run_embedding_study",
-    "choose_window",
 ]
 
 
@@ -149,9 +143,7 @@ def run_invariance(
         config = IntegratorConfig(
             method="reference_rk4", dt=dt, coupling=coupling, dt_record=t_compare
         )
-        _, records = evolve_batch(
-            A0, 0.0, t_compare, config, tensor=build_tensor(N)
-        )
+        _, records = evolve_batch(A0, 0.0, t_compare, config)
         A1 = records[-1]
     obs1 = observable_table(A1)
     crit = ks_critical_value(samples, samples, alpha=0.01)
@@ -186,14 +178,14 @@ class TailFit:
             raise DomainError("survival must be non-increasing in lambda")
 
 
-def _fit_tail(values: np.ndarray, grid_points: int = 48):
+def _fit_tail(values: np.ndarray):
     lo, hi = np.percentile(values, [50.0, 99.5])
     if not (hi > lo > 0):
         raise FitDegenerateError(
             "tail fit degenerate: no spread between the 50th and 99.5th "
             "percentiles"
         )
-    grid = np.geomspace(lo, hi, grid_points)
+    grid = np.geomspace(lo, hi, 48)
     ordered = np.sort(values)
     survival = 1.0 - np.searchsorted(ordered, grid, side="right") / values.size
     keep = survival > 0
@@ -245,21 +237,20 @@ def run_tail_experiment(
     samples: int,
     measure: str = "free",
     rng: RngStream | None = None,
-    params: NormParams | None = None,
     bootstrap: int = 32,
 ) -> TailFit:
     """Monte Carlo survival curve and stretched-exponential tail fit.
 
     Samples come from the derived-sigma free measure, or from its Gibbs
     measure at DEFAULT_BETA_Q (the invariant pair); the space-time kinds
-    evolve them at unit coupling (_norm_samples with dt = 1e-3).
+    evolve them at unit coupling (_norm_samples with dt = 1e-3) and take
+    their norms at the default NormParams().
     """
     if N < 1:
         raise DomainError("N must be >= 1")
     if samples < 10_000:
         raise PrecisionError("tail resolution needs samples >= 10^4")
     rng = rng if rng is not None else RngStream(seed=0)
-    params = params if params is not None else NormParams()
     spec = FreeMeasureSpec.derived(N)
     if measure == "free":
         A = sample_free_batch(spec, rng, samples)
@@ -267,7 +258,7 @@ def run_tail_experiment(
         A, _, _ = sample_gibbs_batch(spec, DEFAULT_BETA_Q, rng, samples)
     else:
         raise DomainError(f"unknown measure {measure!r}")
-    values = _norm_samples(norm_kind, A, params, dt=1e-3, coupling=1.0)
+    values = _norm_samples(norm_kind, A, NormParams(), dt=1e-3, coupling=1.0)
     if np.ptp(values) == 0:
         raise FitDegenerateError("tail fit degenerate: point-mass distribution")
     grid, log_surv, c_hat, kappa_hat = _fit_tail(values)
@@ -302,8 +293,7 @@ class BlockReport:
     N: int
     samples: int
     block_values: np.ndarray  # per-sample max_B B^{1/2} ||P_B u||_{L^6_t L^2_x}
-    chaos_values: dict  # N2 -> per-sample max_n centered chaos sum
-    chaos_medians: dict  # N2 -> median of the above
+    chaos_medians: dict  # N2 -> median over samples of max_n centered chaos sum
 
 
 def _dyadic_blocks(N: int):
@@ -313,8 +303,9 @@ def _dyadic_blocks(N: int):
         B *= 2
 
 
-def block_observable(mod_sq: np.ndarray, dt_rec: float, q: float = 6.0) -> np.ndarray:
-    """max over dyadic blocks of B^{1/2} ||P_B u||_{L^q_t L^2_x}.
+def block_observable(mod_sq: np.ndarray, dt_rec: float) -> np.ndarray:
+    """max over dyadic blocks of B^{1/2} ||P_B u||_{L^6_t L^2_x}, with the
+    paper's time exponent 6.
 
     mod_sq: |a_n(t)|^2 with shape (records, samples, N); trapezoid in time.
     """
@@ -323,7 +314,7 @@ def block_observable(mod_sq: np.ndarray, dt_rec: float, q: float = 6.0) -> np.nd
     best = np.zeros(S)
     for B, hi in _dyadic_blocks(N):
         l2sq = 2.0 * np.pi * mod_sq[:, :, B - 1 : hi - 1].sum(axis=2)
-        lqt = (tw @ l2sq ** (q / 2.0)) ** (1.0 / q)
+        lqt = (tw @ l2sq**3.0) ** (1.0 / 6.0)
         best = np.maximum(best, math.sqrt(B) * lqt)
     return best
 
@@ -384,16 +375,12 @@ def run_block_observables(
         # time-averaged normalized moduli |a_n(t)/sigma_n|^2 over the window
         gsq = mod_sq / spec.sigma[None, None, :] ** 2
         avg_gsq[lo : lo + A0.shape[0]] = np.tensordot(tw, gsq, axes=(0, 0))
-    chaos_vals = {
-        N2: chaos_observable(avg_gsq, N2, n_top=N) for N2 in n2_values
+    medians = {
+        N2: float(np.median(chaos_observable(avg_gsq, N2, n_top=N)))
+        for N2 in n2_values
     }
-    medians = {N2: float(np.median(v)) for N2, v in chaos_vals.items()}
     return BlockReport(
-        N=N,
-        samples=samples,
-        block_values=block_vals,
-        chaos_values=chaos_vals,
-        chaos_medians=medians,
+        N=N, samples=samples, block_values=block_vals, chaos_medians=medians
     )
 
 
@@ -403,7 +390,6 @@ def run_block_observables(
 
 @dataclass(frozen=True)
 class ConvergenceLadder:
-    seed: int
     N_values: tuple
     s: float
     t_end: float
@@ -445,6 +431,8 @@ def run_convergence_ladder(
         raise DomainError("N_values must be non-decreasing")
     if not s < 0.5:
         raise DomainError("ladder requires s < 1/2")
+    if not 0 < t_end < math.inf:
+        raise DomainError("t_end must be positive and finite")
     if dt is not None and not dt > 0:
         raise DomainError("dt must be positive")
     N_max = max(N_values)
@@ -458,11 +446,8 @@ def run_convergence_ladder(
     runs = {}
     for N in dict.fromkeys(N_values):
         config = IntegratorConfig(method=integrator, **config_kw)
-        tensor = build_tensor(N) if integrator == "reference_rk4" else None
         try:
-            _, records = evolve_batch(
-                master.coeffs[None, :N], 0.0, t_end, config, tensor=tensor
-            )
+            _, records = evolve_batch(master.coeffs[None, :N], 0.0, t_end, config)
         except BlowUpError as err:
             raise BlowUpError(
                 f"ladder run N={N} blew up: {err}",
@@ -489,7 +474,6 @@ def run_convergence_ladder(
     else:
         exponent = float("nan")
     return ConvergenceLadder(
-        seed=seed,
         N_values=N_values,
         s=s,
         t_end=t_end,
@@ -532,7 +516,6 @@ class EmbeddingReport:
     clause: str
     N: int
     trials: int
-    params: NormParams
     ratios: np.ndarray
 
     @property
@@ -586,15 +569,4 @@ def run_embedding_study(
             A = synthesize_uniform(spec, samples_t)
             num = mixed_norm_matrix(A, 1.0 / samples_t, params.p, params.q, rule)
         ratios[k] = num / denom
-    return EmbeddingReport(
-        clause=clause, N=N, trials=trials, params=params, ratios=ratios
-    )
-
-
-def choose_window(N_star: int, c_window: float) -> float:
-    """Sub-window length T = c / log N_star for the ladder scheduling."""
-    if N_star < 2:
-        raise DomainError("N_star must be >= 2")
-    if c_window <= 0:
-        raise DomainError("c_window must be positive")
-    return float(c_window / math.log(N_star))
+    return EmbeddingReport(clause=clause, N=N, trials=trials, ratios=ratios)

@@ -367,13 +367,11 @@ def chaos_moment_ratio(
     q: int,
     trials: int,
     rng: RngStream,
-    centered: bool = False,
     return_stderr: bool = False,
 ):
-    """Monte Carlo L^q(d omega) moment ratio for Gaussian chaos sums.
+    """Monte Carlo L^q(d omega) moment ratio for Gaussian chaos sums,
+    ||sum alpha_n g_n||_{L^q} / (sqrt(q) ||alpha||_2).
 
-    Plain variant: ||sum alpha_n g_n||_{L^q} / (sqrt(q) ||alpha||_2).
-    Centered variant (weights |g_n|^2 - 1): denominator q ||alpha||_2.
     Jackknife-over-blocks standard error available via return_stderr.
     """
     alpha = np.asarray(alpha, dtype=complex)
@@ -390,12 +388,8 @@ def chaos_moment_ratio(
     for lo in range(0, trials, step):
         m = min(step, trials - lo)
         g = _complex_gaussian(*gen.standard_normal((2, m, alpha.size)))
-        if centered:
-            x = (np.abs(g) ** 2 - 1.0) @ alpha
-        else:
-            x = g @ alpha
-        powers[lo : lo + m] = np.abs(x) ** q
-    denom = (q * l2) if centered else (np.sqrt(q) * l2)
+        powers[lo : lo + m] = np.abs(g @ alpha) ** q
+    denom = np.sqrt(q) * l2
     ratio = float(np.mean(powers) ** (1.0 / q) / denom)
     if not return_stderr:
         return ratio

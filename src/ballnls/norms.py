@@ -142,8 +142,8 @@ def mixed_norm_matrix(
     A: np.ndarray, dt_rec: float, p: float, q: float, rule: QuadratureRule
 ) -> float:
     """mixed_norm on a coefficient matrix (samples x modes); trapezoid in t."""
-    if p < 1 or (q < 1 and not np.isinf(q)):
-        raise DomainError("p and q must be >= 1")
+    if not (1 <= p < np.inf and q >= 1):
+        raise DomainError("p must be finite and >= 1, and q >= 1")
     S, N = A.shape
     if dt_rec > 1.0 / (16.0 * N * N) + 1e-12:
         raise ResolutionError(
@@ -166,14 +166,17 @@ def mixed_norm_matrix(
 
 
 def mixed_norm_l2t(spec: SpaceTimeSpectrum, p: float, rule: QuadratureRule) -> float:
-    """L^p_x L^2_t norm straight from the spectrum (Plancherel in time)."""
-    if p < 1:
-        raise DomainError("p must be >= 1")
+    """L^p_x L^2_t norm straight from the spectrum (Plancherel in time).
+
+    int_0^1 |u(t,r)|^2 dt = sum_m |sum_n f_{n,m} e_n(r)|^2 = e(r)^T G e(r)
+    with the real Gram matrix G = Re(F F^H) of the spectrum's mode rows.
+    """
+    if not 1 <= p < np.inf:
+        raise DomainError("p must be finite and >= 1")
     E = eval_matrix(spec.N, rule.nodes)
-    # int_0^1 |u(t,r)|^2 dt = sum_m |sum_n f_{n,m} e_n(r)|^2
-    g = np.zeros(rule.order)
-    for _, u2 in nodal_modulus_sq(spec.values.T, E):
-        g += u2.sum(axis=0)
+    # rows of the real view interleave Re and Im, so V V^T = Re(F F^H)
+    V = spec.values.view(float)
+    g = np.einsum("nj,nj->j", E, (V @ V.T) @ E)
     val = 4.0 * np.pi * rule.integrate(g ** (p / 2.0) * rule.nodes**2)
     return float(val ** (1.0 / p))
 
@@ -268,14 +271,6 @@ def xsb_norm(spec: SpaceTimeSpectrum, s: float, b: float) -> float:
     return float(np.sqrt(np.sum(n_w * mod_w * np.abs(spec.values) ** 2)))
 
 
-def _triple_parts(spec: SpaceTimeSpectrum, T: float):
-    mod = spec.modulation()
-    far = mod > 1.0 / T
-    w_first = np.sqrt(mod + 1.0 / T)
-    g = np.where(far, 1.0 / np.where(far, mod, 1.0), 0.0)
-    return mod, far, w_first, g
-
-
 def triple_norm_upper(spec: SpaceTimeSpectrum, T: float) -> TripleNormBound:
     """Certified upper bound on the windowed atomic norm.
 
@@ -288,7 +283,10 @@ def triple_norm_upper(spec: SpaceTimeSpectrum, T: float) -> TripleNormBound:
     """
     if T <= 0:
         raise DomainError("T must be positive")
-    _, far, w_first, g = _triple_parts(spec, T)
+    mod = spec.modulation()
+    far = mod > 1.0 / T
+    w_first = np.sqrt(mod + 1.0 / T)
+    g = np.where(far, 1.0 / np.where(far, mod, 1.0), 0.0)
     f = spec.values
     denom = np.sum(g * g, axis=1)
     num = np.sum(f * g, axis=1)

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.special import sici
+
 from ballnls.basis import (
     CorrelationTensor,
+    _correlation_batch,
     TruncatedTensorView,
     build_tensor,
     correlation,
@@ -148,6 +151,22 @@ class TestCorrelation:
     def test_invalid_index(self):
         with pytest.raises(DomainError):
             correlation(0, 1, 1, 1)
+
+    def test_tabulated_f_matches_per_tuple_form(self):
+        # the batch gathers F(|k|) from a table; per tuple, the same closed
+        # form evaluates sici and cos on each of its eight sums
+        gen = np.random.default_rng(17)
+        tuples = gen.integers(1, 65, size=(400, 4))
+        eps = np.array([1, 1, -1, -1, -1, -1, 1, 1], dtype=float)
+        for row, got in zip(tuples, _correlation_batch(tuples)):
+            n, n1, n2, n3 = row.astype(float)
+            s1, s2, s3, s4 = n - n1, n + n1, n2 - n3, n2 + n3
+            ks = np.array(
+                [s1 - s3, s1 + s3, s1 - s4, s1 + s4, s2 - s3, s2 + s3, s2 - s4, s2 + s4]
+            )
+            q = np.abs(ks) * np.pi
+            terms = eps * ((1.0 - np.cos(q)) - q * sici(q)[0])
+            assert got == 4.0 * np.pi * terms.sum() / 8.0
 
 
 class TestCorrelationTensor:

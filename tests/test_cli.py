@@ -373,6 +373,12 @@ class TestInvalidNumbers:
             (("experiment", "ladder", "--t-end", "nan"), "argument --t-end"),
             (("experiment", "tails", "--kappa-min", "nan"), "argument --kappa-min"),
             (("experiment", "ladder", "--dt", 0), "dt must be positive"),
+            (EVOLVE + ("--dt", "inf"), "dt must be positive and finite"),
+            (EVOLVE + ("--dt-record", "inf"), "dt_record must be finite"),
+            (("experiment", "invariance", "--dt", "inf"), "dt must be positive and finite"),
+            (("experiment", "ladder", "--t-end", "inf"), "t_end must be positive"),
+            (("experiment", "ladder", "--t-end", 0), "t_end must be positive"),
+            (("experiment", "ladder", "--t-end", -0.5), "t_end must be positive"),
         ],
     )
     def test_exit_2_naming_the_option(
@@ -390,6 +396,17 @@ class TestInvalidNumbers:
             "--integrator", "collocation", "--out", out,
         ) == 0
         assert run("norms", "--in", out, "--kind", "mixed", "--q", "inf") == 0
+
+    def test_p_inf_exit_2(self, tmp_path, capsys):
+        # the radial integral's 1/p power made every trajectory's norm 1
+        out = tmp_path / "run.traj"
+        assert run(
+            "evolve", "--n", 2, "--t-end", 0.01, "--dt", 1e-3,
+            "--integrator", "collocation", "--out", out,
+        ) == 0
+        capsys.readouterr()
+        assert exit_code("norms", "--in", out, "--kind", "mixed", "--p", "inf") == 2
+        assert "p must be finite" in capsys.readouterr().err
 
 
 class TestStartup:

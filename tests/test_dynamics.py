@@ -44,7 +44,12 @@ class TestState:
             IntegratorConfig(method="leapfrog")
         with pytest.raises(DomainError):
             IntegratorConfig(dt=1e-3, dt_record=1e-4)
-        for bad in ({"dt": np.nan}, {"dt": 1e-3, "dt_record": np.nan}):
+        for bad in (
+            {"dt": np.nan},
+            {"dt": 1e-3, "dt_record": np.nan},
+            {"dt": np.inf},
+            {"dt": 1e-3, "dt_record": np.inf},
+        ):
             with pytest.raises(DomainError):
                 IntegratorConfig(**bad)
 
@@ -165,6 +170,26 @@ class TestEvolveBookkeeping:
         )
         assert np.allclose(records[:, 0, :], traj.coeffs)
         assert len(times) == len(traj.states)
+
+    def test_rk4_builds_its_own_tensor(self, tensor):
+        A = np.stack([small_state(seed=1).coeffs, small_state(seed=2).coeffs])
+        cfg = IntegratorConfig(method="reference_rk4", dt=1e-3, dt_record=2e-3)
+        times, records = evolve_batch(A, 0.0, 0.01, cfg)
+        times_t, records_t = evolve_batch(A, 0.0, 0.01, cfg, tensor=tensor)
+        assert np.array_equal(times, times_t)
+        assert np.array_equal(records, records_t)
+
+    def test_subwindow_splitting_is_bookkeeping(self):
+        # evolving [0, T] then [T, 2T] equals one pass over [0, 2T]
+        tensor = build_tensor(4)
+        state = sample_free(FreeMeasureSpec.derived(4), RngStream(seed=5))
+        cfg = IntegratorConfig(method="reference_rk4", dt=1e-3, dt_record=0.05)
+        whole = evolve(state, 0.2, cfg, tensor=tensor)
+        half = evolve(state, 0.1, cfg, tensor=tensor)
+        rest = evolve(half.states[-1], 0.2, cfg, tensor=tensor)
+        assert np.allclose(
+            rest.states[-1].coeffs, whole.states[-1].coeffs, atol=1e-13
+        )
 
     def test_trajectory_properties(self, tensor):
         traj = evolve(

@@ -14,7 +14,6 @@ from ballnls.errors import (
 from ballnls.experiments import (
     block_observable,
     chaos_observable,
-    choose_window,
     ks_critical_value,
     ks_statistic,
     observable_table,
@@ -291,33 +290,3 @@ class TestEmbeddings:
         a = run_embedding_study("vii", N=4, trials=3, rng=RngStream(seed=9))
         b = run_embedding_study("vii", N=4, trials=3, rng=RngStream(seed=9))
         assert np.array_equal(a.ratios, b.ratios)
-
-
-class TestChooseWindow:
-    def test_arithmetic(self):
-        assert choose_window(2, math.log(2.0)) == pytest.approx(1.0)
-
-    def test_monotone(self):
-        values = [choose_window(n, 1.0) for n in (2, 4, 16, 256)]
-        assert all(x > y for x, y in zip(values, values[1:]))
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            choose_window(1, 1.0)
-        with pytest.raises(DomainError):
-            choose_window(4, 0.0)
-
-    def test_subwindow_splitting_is_bookkeeping(self):
-        # evolving [0, T] then [T, 2T] equals one pass over [0, 2T]
-        from ballnls.dynamics import IntegratorConfig, evolve
-        from ballnls.basis import build_tensor
-
-        tensor = build_tensor(4)
-        state = sample_free(FreeMeasureSpec.derived(4), RngStream(seed=5))
-        cfg = IntegratorConfig(method="reference_rk4", dt=1e-3, dt_record=0.05)
-        whole = evolve(state, 0.2, cfg, tensor=tensor)
-        half = evolve(state, 0.1, cfg, tensor=tensor)
-        rest = evolve(half.states[-1], 0.2, cfg, tensor=tensor)
-        assert np.allclose(
-            rest.states[-1].coeffs, whole.states[-1].coeffs, atol=1e-13
-        )

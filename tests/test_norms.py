@@ -174,6 +174,16 @@ class TestMixedNormKernels:
         got = mixed_norm_l2t(spec, 2.5, self.rule)
         assert got == pytest.approx(self.radial(g ** 0.5, 2.5), rel=1e-13)
 
+    def test_infinite_p_refused(self):
+        # (4 pi int g^{p/q} r^2 dr)^{1/p} became x^0 = 1 at p = inf
+        spec = random_spectrum(2, seed=14)
+        A = synthesize_uniform(spec, 64)
+        with pytest.raises(DomainError, match="p must be finite"):
+            mixed_norm_l2t(spec, np.inf, self.rule)
+        for q in (2.0, np.inf):
+            with pytest.raises(DomainError, match="p must be finite"):
+                mixed_norm_matrix(A, 1.0 / 64, np.inf, q, self.rule)
+
     @pytest.mark.parametrize("samples", [4 * 2 * 9 + 1, 4 * 2 * 9 * 4])
     def test_synthesis_matches_scatter_add(self, samples):
         spec = random_spectrum(3, seed=13)
