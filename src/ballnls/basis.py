@@ -257,15 +257,13 @@ class CorrelationTensor:
     """Fully symmetric quartic tensor c(n,n1,n2,n3), indices <= n_max.
 
     ``values`` holds one float64 per canonical (sorted) tuple, in the order
-    of _canonical_tuples(n_max), which is the cache order.
-    ``bound_constant`` is the empirical C with |c| <= C * min(indices) over
-    all stored tuples.  The one array kept per N is the contraction matrix;
-    a tensor made by dataclasses.replace starts with none.
+    of _canonical_tuples(n_max), which is the cache order.  The one array
+    kept per N is the contraction matrix; a tensor made by
+    dataclasses.replace starts with none.
     """
 
     n_max: int
     values: np.ndarray = field(repr=False)
-    bound_constant: float
     _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def value(self, n: int, n1: int, n2: int, n3: int) -> float:
@@ -363,13 +361,8 @@ def build_tensor(n_max: int) -> CorrelationTensor:
     cross-check against correlation_quadrature lives in the test suite).
     """
     n_max = _check_index(n_max, "n_max")
-    canon = _canonical_tuples(n_max)
-    values = _correlation_batch(canon)
-    mins = canon[:, 0].astype(float)  # tuples are sorted ascending
-    bound_constant = float(np.max(np.abs(values) / mins))
-    return CorrelationTensor(
-        n_max=n_max, values=values, bound_constant=bound_constant
-    )
+    values = _correlation_batch(_canonical_tuples(n_max))
+    return CorrelationTensor(n_max=n_max, values=values)
 
 
 def cubic_term(A: np.ndarray, M1: np.ndarray) -> np.ndarray:

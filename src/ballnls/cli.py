@@ -12,6 +12,7 @@ side-by-side ``<out>.manifest.json`` with the fully resolved snapshot;
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -43,7 +44,6 @@ from .experiments import (
     run_tail_experiment,
 )
 from .measures import (
-    RNG_ALGORITHM,
     FreeMeasureSpec,
     RngStream,
     quartic_norm_quadrature,
@@ -244,6 +244,12 @@ def _integrator_method(name: str) -> str:
 
 
 def _json_ready(obj):
+    """obj as JSON values: a dataclass record as the dict of its fields,
+    a NamedTuple row as the dict of its fields, arrays as lists."""
+    if dataclasses.is_dataclass(obj):
+        obj = dataclasses.asdict(obj)
+    elif hasattr(obj, "_asdict"):
+        obj = obj._asdict()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
@@ -255,26 +261,25 @@ def _json_ready(obj):
     return obj
 
 
-def _write_report(path, command, cfg, payload, seed):
+def _write_report(path, command, cfg, results):
     report = {
         "schema_version": pio.SCHEMA_VERSION,
         "experiment": command,
-        "manifest": pio.build_manifest(
-            command, _json_ready(cfg), seed, RNG_ALGORITHM
-        ),
-        "results": _json_ready(payload),
+        "manifest": pio.build_manifest(command, _json_ready(cfg), cfg["seed"]),
+        "results": _json_ready(results),
     }
     pio.atomic_write_bytes(
         path, (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
     )
 
 
-def _finish(command, cfg, payload, header, rows, lines, failure) -> int:
-    """An experiment's epilogue: the --out-json report and the --out-csv
-    table (header, rows) when asked for, then lines on stdout, then
-    AssertionFailure when failure names a threshold that did not hold."""
+def _finish(command, cfg, results, header, rows, lines, failure) -> int:
+    """An experiment's epilogue: the --out-json report of results (the
+    runner's record) and the --out-csv table (header, rows) when asked for,
+    then lines on stdout, then AssertionFailure when failure names a
+    threshold that did not hold."""
     if cfg["out_json"]:
-        _write_report(cfg["out_json"], command, cfg, payload, cfg["seed"])
+        _write_report(cfg["out_json"], command, cfg, results)
     if cfg["out_csv"]:
         pio.write_csv(cfg["out_csv"], header, rows)
     for line in lines:
@@ -289,7 +294,6 @@ def _write_side_manifest(out_path, command, cfg, seed, tensor_hash=None):
         command,
         _json_ready(cfg),
         seed,
-        RNG_ALGORITHM,
         tensor_cache_hash=tensor_hash,
         timestamps={"written": pio.utc_now()},
     )
@@ -401,16 +405,6 @@ def _cmd_invariance(cfg: dict) -> int:
         rng=RngStream(seed=cfg["seed"]),
         dt=cfg["dt"],
     )
-    payload = {
-        "N": report.N,
-        "samples": report.samples,
-        "t_compare": report.t_compare,
-        "acceptance_rate": report.acceptance_rate,
-        "observables": [
-            {"name": n, "ks": k, "critical_1pct": c}
-            for n, k, c in report.observables
-        ],
-    }
     rows = [(n, float(k), float(c)) for n, k, c in report.observables]
     failure = None
     if not report.all_pass():
@@ -420,7 +414,7 @@ def _cmd_invariance(cfg: dict) -> int:
         )
     lines = [f"{n}: KS={k:.5f} critical={c:.5f}" for n, k, c in rows]
     header = ["observable", "ks_statistic", "critical_1pct"]
-    return _finish("invariance", cfg, payload, header, rows, lines, failure)
+    return _finish("invariance", cfg, report, header, rows, lines, failure)
 
 
 def _cmd_tails(cfg: dict) -> int:
@@ -431,14 +425,6 @@ def _cmd_tails(cfg: dict) -> int:
         measure=cfg["measure"],
         rng=RngStream(seed=cfg["seed"]),
     )
-    payload = {
-        "fitted_kappa": fit.fitted_kappa,
-        "fitted_c": fit.fitted_c,
-        "kappa_stderr": fit.kappa_stderr,
-        "c_stderr": fit.c_stderr,
-        "lambda_grid": fit.lambda_grid,
-        "empirical_log_survival": fit.empirical_log_survival,
-    }
     rows = list(zip(fit.lambda_grid.tolist(), fit.empirical_log_survival.tolist()))
     line = (
         f"kappa={fit.fitted_kappa:.4f} (+-{fit.kappa_stderr:.4f}) "
@@ -451,7 +437,7 @@ def _cmd_tails(cfg: dict) -> int:
             f"{cfg['kappa_min']}"
         )
     header = ["lambda", "log_survival"]
-    return _finish("tails", cfg, payload, header, rows, [line], failure)
+    return _finish("tails", cfg, fit, header, rows, [line], failure)
 
 
 def _cmd_ladder(cfg: dict) -> int:
@@ -463,13 +449,6 @@ def _cmd_ladder(cfg: dict) -> int:
         dt=cfg["dt"],
         integrator=_integrator_method(cfg["integrator"]),
     )
-    payload = {
-        "N_values": list(ladder.N_values),
-        "diffs": ladder.diffs,
-        "fitted_exponent": ladder.fitted_exponent,
-        "s": ladder.s,
-        "t_end": ladder.t_end,
-    }
     rows = list(zip(ladder.N_values[:-1], ladder.diffs.tolist()))
     diffs = " ".join(f"{n}:{d:.6g}" for n, d in rows)
     line = f"D_N: {diffs} exponent={ladder.fitted_exponent:.4f}"
@@ -479,7 +458,7 @@ def _cmd_ladder(cfg: dict) -> int:
             "diffs not strictly decreasing with positive fitted exponent "
             f"(diffs={ladder.diffs.tolist()}, exponent={ladder.fitted_exponent})"
         )
-    return _finish("ladder", cfg, payload, ["N_low", "D_N"], rows, [line], failure)
+    return _finish("ladder", cfg, ladder, ["N_low", "D_N"], rows, [line], failure)
 
 
 def _cmd_blocks(cfg: dict) -> int:
@@ -490,12 +469,6 @@ def _cmd_blocks(cfg: dict) -> int:
         rng=RngStream(seed=cfg["seed"]),
         n2_values=n2_values,
     )
-    payload = {
-        "N": report.N,
-        "samples": report.samples,
-        "block_median": float(np.median(report.block_values)),
-        "chaos_medians": report.chaos_medians,
-    }
     rows = [(n2, report.chaos_medians[n2]) for n2 in n2_values]
     lines = [f"N2={n2}: chaos median {m:.6g}" for n2, m in rows]
     lo, hi = min(n2_values), max(n2_values)
@@ -503,7 +476,7 @@ def _cmd_blocks(cfg: dict) -> int:
     if report.chaos_medians[hi] > report.chaos_medians[lo]:
         failure = f"chaos median did not decay from N2={lo} to N2={hi}"
     header = ["N2", "chaos_median"]
-    return _finish("blocks", cfg, payload, header, rows, lines, failure)
+    return _finish("blocks", cfg, report, header, rows, lines, failure)
 
 
 def _cmd_embeddings(cfg: dict) -> int:
@@ -513,17 +486,11 @@ def _cmd_embeddings(cfg: dict) -> int:
         trials=cfg["trials"],
         rng=RngStream(seed=cfg["seed"]),
     )
-    payload = {
-        "clause": report.clause,
-        "N": report.N,
-        "trials": report.trials,
-        "max_ratio": report.max_ratio,
-        "ratios": report.ratios,
-    }
+    results = dict(dataclasses.asdict(report), max_ratio=report.max_ratio)
     rows = list(enumerate(report.ratios.tolist()))
     line = f"clause ({report.clause}) N={report.N}: max ratio {report.max_ratio:.4f}"
     # the outputs are on disk before the baseline is read
-    _finish("embeddings", cfg, payload, ["trial", "ratio"], rows, [line], None)
+    _finish("embeddings", cfg, results, ["trial", "ratio"], rows, [line], None)
     if cfg["baseline"]:
         try:
             baseline = json.loads(Path(cfg["baseline"]).read_text("utf-8"))

@@ -3,13 +3,15 @@ dyadic-block observables, the dyadic convergence ladder, and the Lemma-4
 style embedding-ratio study.
 
 All randomness flows through RngStream children so every report is
-reproducible bit-for-bit from (seed, algorithm_id, parameters).
+reproducible bit-for-bit from (seed, parameters).  The records these
+runners return are the `results` of the CLI's report JSON, field for field.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from .norms import (
 )
 
 __all__ = [
+    "Observable",
     "InvarianceReport",
     "TailFit",
     "BlockReport",
@@ -85,12 +88,21 @@ def ks_critical_value(m: int, n: int, alpha: float = 0.01) -> float:
 # Gibbs invariance
 
 
+class Observable(NamedTuple):
+    """One invariance observable's two-sample KS statistic and its 1%
+    critical value."""
+
+    name: str
+    ks: float
+    critical_1pct: float
+
+
 @dataclass(frozen=True)
 class InvarianceReport:
     N: int
     samples: int
     t_compare: float
-    observables: tuple  # (name, ks_statistic, critical_value_1pct)
+    observables: tuple[Observable, ...]
     acceptance_rate: float
 
     def __post_init__(self):
@@ -148,7 +160,8 @@ def run_invariance(
     obs1 = observable_table(A1)
     crit = ks_critical_value(samples, samples, alpha=0.01)
     rows = tuple(
-        (name, ks_statistic(obs0[name], obs1[name]), crit) for name in obs0
+        Observable(name, ks_statistic(obs0[name], obs1[name]), crit)
+        for name in obs0
     )
     return InvarianceReport(
         N=N,
@@ -292,7 +305,7 @@ def run_tail_experiment(
 class BlockReport:
     N: int
     samples: int
-    block_values: np.ndarray  # per-sample max_B B^{1/2} ||P_B u||_{L^6_t L^2_x}
+    block_median: float  # median over samples of block_observable
     chaos_medians: dict  # N2 -> median over samples of max_n centered chaos sum
 
 
@@ -380,7 +393,10 @@ def run_block_observables(
         for N2 in n2_values
     }
     return BlockReport(
-        N=N, samples=samples, block_values=block_vals, chaos_medians=medians
+        N=N,
+        samples=samples,
+        block_median=float(np.median(block_vals)),
+        chaos_medians=medians,
     )
 
 
@@ -435,6 +451,8 @@ def run_convergence_ladder(
         raise DomainError("t_end must be positive and finite")
     if dt is not None and not dt > 0:
         raise DomainError("dt must be positive")
+    if record_points < 1:
+        raise DomainError(f"record_points must be >= 1, got {record_points}")
     N_max = max(N_values)
     master = sample_free(FreeMeasureSpec.derived(N_max), RngStream(seed))
     dt_rec = t_end / record_points

@@ -4,6 +4,17 @@ Binary layouts are little-endian IEEE-754 throughout; every file is
 written to a temporary sibling and atomically renamed into place.  The
 tensor cache carries a trailing SHA-256 digest that is verified on every
 load — a corrupted cache is a hard error, never a silent recompute.
+
+Tensor cache layout (offsets in bytes):
+    0   magic "BBNLS3D1"
+    8   u32 format version (1)
+    12  u32 n_max
+    16  u32 0, a retired quadrature-order field, ignored on read
+    20  f64 bound constant max |c| / min(indices) over the stored tuples,
+        computed from the values when the file is written, ignored on read
+    28  C(n_max + 3, 4) f64 values, lexicographic sorted-tuple order
+    end 32-byte SHA-256 of everything preceding
+Manifests record the RNG algorithm, measures.RNG_ALGORITHM.
 """
 
 from __future__ import annotations
@@ -18,9 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import CorrelationTensor
+from .basis import CorrelationTensor, _canonical_tuples
 from .dynamics import Trajectory
 from .errors import DomainError, StorageError
+from .measures import RNG_ALGORITHM
 
 ARTIFACT_VERSION = "1.0.0"
 SCHEMA_VERSION = 1
@@ -71,19 +83,17 @@ def default_cache_path(n_max: int) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Tensor cache:
-#   magic "BBNLS3D1" | u32 format version | u32 n_max | u32 0 (a retired
-#   quadrature-order field, ignored on read) | f64 bound constant |
-#   canonical values (f64, lexicographic sorted-tuple order) | 32-byte
-#   SHA-256 of everything preceding.
+# Tensor cache (layout in the module docstring)
 
 
 def write_tensor_cache(tensor: CorrelationTensor, path) -> str:
     """Serialize; returns the SHA-256 of the file written."""
+    mins = _canonical_tuples(tensor.n_max)[:, 0]  # tuples sort ascending
+    bound_constant = float(np.max(np.abs(tensor.values) / mins))
     body = bytearray()
     body += TENSOR_MAGIC
     body += struct.pack(
-        "<IIId", TENSOR_FORMAT_VERSION, tensor.n_max, 0, tensor.bound_constant
+        "<IIId", TENSOR_FORMAT_VERSION, tensor.n_max, 0, bound_constant
     )
     body += tensor.values.astype("<f8").tobytes()
     payload = bytes(body) + hashlib.sha256(body).digest()
@@ -102,18 +112,14 @@ def read_tensor_cache(path) -> tuple[CorrelationTensor, str]:
     body, digest = raw[:-32], raw[-32:]
     if hashlib.sha256(body).digest() != digest:
         raise StorageError(f"{path}: cache digest mismatch (corrupted file)")
-    version, n_max, _, bound_constant = struct.unpack("<IIId", body[8:28])
+    version, n_max, _, _ = struct.unpack("<IIId", body[8:28])
     if version != TENSOR_FORMAT_VERSION:
         raise StorageError(f"{path}: unsupported cache format version {version}")
     vals = np.frombuffer(body[28:], dtype="<f8")
     expected = math.comb(n_max + 3, 4)
     if vals.size != expected:
         raise StorageError(f"{path}: expected {expected} values, found {vals.size}")
-    tensor = CorrelationTensor(
-        n_max=int(n_max),
-        values=vals,
-        bound_constant=float(bound_constant),
-    )
+    tensor = CorrelationTensor(n_max=int(n_max), values=vals)
     return tensor, hashlib.sha256(raw).hexdigest()
 
 
@@ -174,7 +180,6 @@ def build_manifest(
     command: str,
     config_snapshot: dict,
     seed: int | None,
-    algorithm_id: str | None,
     tensor_cache_hash: str | None = None,
     timestamps: dict | None = None,
 ) -> dict:
@@ -184,7 +189,7 @@ def build_manifest(
         "command": command,
         "config_snapshot": dict(sorted(config_snapshot.items())),
         "seed": seed,
-        "algorithm_id": algorithm_id,
+        "algorithm_id": RNG_ALGORITHM,
         "tensor_cache_hash": tensor_cache_hash,
     }
     if timestamps is not None:

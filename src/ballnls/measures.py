@@ -47,12 +47,11 @@ class RngStream:
 
     Identical keys reproduce identical draws on any platform; distinct
     stream_ids give statistically independent streams (SeedSequence spawn
-    keys).  ``algorithm_id`` is recorded in run manifests.
+    keys).  Run manifests record the algorithm, RNG_ALGORITHM.
     """
 
     seed: int
     stream_id: int = 0
-    algorithm_id: str = RNG_ALGORITHM
 
     def __post_init__(self):
         if int(self.seed) < 0 or int(self.stream_id) < 0:
@@ -65,7 +64,7 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(ss))
 
     def child(self, k: int) -> "RngStream":
-        return RngStream(self.seed, self.stream_id + int(k), self.algorithm_id)
+        return RngStream(self.seed, self.stream_id + int(k))
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,6 @@ class FreeMeasureSpec:
 class GibbsSample:
     state: RadialState
     quartic_norm: float
-    weight_exponent: float
     attempts: int
 
     def __post_init__(self):
@@ -310,7 +308,6 @@ def sample_gibbs(
     return GibbsSample(
         state=RadialState(N=spec.N, coeffs=coeffs[0], time=0.0),
         quartic_norm=float(quartics[0]),
-        weight_exponent=-beta_q * float(quartics[0]),
         attempts=round(1.0 / rate),
     )
 
@@ -330,8 +327,9 @@ def sample_gibbs_batch(
     is kept between rounds.  Quartic norms use the quadrature path (cheap
     at ensemble scale).  Returns (coeffs, quartic_norms, acceptance_rate).
     """
-    if beta_q < 0:
-        raise DomainError("beta_q must be >= 0")
+    if not 0 <= beta_q < np.inf:
+        # exp(-inf * q) = 0 accepts no draw, so every round would run
+        raise DomainError(f"beta_q must be finite and >= 0, got {beta_q}")
     gen = np.random.Generator(np.random.PCG64(0))
     states = _pcg64_states(int(rng.seed), int(rng.stream_id), count)
     coeffs = np.empty((count, spec.N), dtype=complex)

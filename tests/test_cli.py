@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ballnls
 import ballnls.cli
+from ballnls import experiments
 from ballnls import io as pio
 from ballnls.cli import _OPTIONS, main
 from ballnls.measures import FreeMeasureSpec
@@ -354,6 +356,28 @@ class TestExperiments:
     def test_embeddings_bad_clause(self):
         assert run("experiment", "embeddings", "--clause", "ix", "--trials", 2) == 2
 
+    @pytest.mark.parametrize(
+        "args, record, extra",
+        [
+            (("invariance", "--n", 4, "--samples", 100, "--t-compare", 0),
+             experiments.InvarianceReport, set()),
+            (("tails", "--n", 4, "--samples", 10000),
+             experiments.TailFit, set()),
+            (("ladder", "--n-values", "4,8", "--t-end", 0.0625),
+             experiments.ConvergenceLadder, set()),
+            (("blocks", "--n", 8, "--samples", 1000, "--n2-values", "2,4"),
+             experiments.BlockReport, set()),
+            (("embeddings", "--clause", "i", "--n", 4, "--trials", 2),
+             experiments.EmbeddingReport, {"max_ratio"}),
+        ],
+    )
+    def test_report_results_are_the_record(self, tmp_path, args, record, extra):
+        report = tmp_path / "report.json"
+        assert run("experiment", *args, "--out-json", report) in (0, 4)
+        results = json.loads(report.read_text())["results"]
+        fields = {f.name for f in dataclasses.fields(record)}
+        assert set(results) == fields | extra
+
 
 class TestInvalidNumbers:
     EVOLVE = ("evolve", "--n", 4, "--t-end", 0.01, "--out", "x.traj")
@@ -379,6 +403,8 @@ class TestInvalidNumbers:
             (("experiment", "ladder", "--t-end", "inf"), "t_end must be positive"),
             (("experiment", "ladder", "--t-end", 0), "t_end must be positive"),
             (("experiment", "ladder", "--t-end", -0.5), "t_end must be positive"),
+            (EVOLVE + ("--measure", "gibbs", "--beta-q", "inf"),
+             "beta_q must be finite"),
         ],
     )
     def test_exit_2_naming_the_option(
@@ -422,6 +448,15 @@ class TestStartup:
             text=True, check=True, timeout=120,
         ).stdout
         assert out.strip() == "False"
+
+    # setuptools' notice that [tool.setuptools] in pyproject.toml is beta
+    @pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
+    def test_package_version_single_source(self):
+        from setuptools.config.pyprojecttoml import read_configuration
+
+        pyproject = SRC.parent / "pyproject.toml"
+        config = read_configuration(str(pyproject), expand=True)
+        assert config["project"]["version"] == ballnls.__version__
 
 
 class TestConfigFile:

@@ -242,6 +242,14 @@ class TestLadder:
         assert times[0] == 0.0
         assert records.shape[1:] == (1, 4)
 
+    @pytest.mark.parametrize("record_points", [0, -4])
+    def test_record_points_checked(self, record_points):
+        with pytest.raises(DomainError, match="record_points"):
+            run_convergence_ladder(
+                seed=0, N_values=(4, 8), s=0.2, t_end=0.125,
+                record_points=record_points,
+            )
+
     def test_decreasing_with_positive_exponent(self):
         ladder = run_convergence_ladder(
             seed=3, N_values=(4, 8, 16), s=0.4, t_end=0.25, record_points=16

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ballnls import io as pio
+from ballnls.basis import build_tensor
 from ballnls.cli import main
 from ballnls.dynamics import IntegratorConfig, RadialState, Trajectory, evolve
 from ballnls.errors import ResolutionError, StorageError
@@ -86,3 +87,16 @@ class TestTrajectoryFile:
             path.write_bytes(whole[:size])
             with pytest.raises(StorageError, match=str(path)):
                 pio.read_trajectory(path)
+
+
+class TestTensorCache:
+    @pytest.mark.parametrize("N", [8, 16])
+    def test_header_bound_is_max_over_min_index(self, tmp_path, N):
+        # the header's f64 is max |c| / min(n, n1, n2, n3) over every entry
+        tensor = build_tensor(N)
+        path = tmp_path / "tensor.bin"
+        pio.write_tensor_cache(tensor, path)
+        (bound,) = struct.unpack("<d", path.read_bytes()[20:28])
+        n = np.arange(1, N + 1)
+        mins = np.minimum.reduce(np.meshgrid(n, n, n, n, indexing="ij"))
+        assert bound == np.max(np.abs(tensor.dense()) / mins)

