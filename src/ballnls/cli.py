@@ -4,9 +4,9 @@ Exit codes: 0 success, 2 usage/configuration, 3 runtime/numerics,
 4 assertion failure (an experiment threshold did not hold).
 
 Config resolution order: built-in defaults < config file (`key = value`
-lines) < command-line flags.  Every artifact-producing command writes a
-side-by-side ``<out>.manifest.json`` with the fully resolved snapshot;
-``ballnls replay --manifest ...`` re-runs a command from that snapshot.
+lines) < command-line flags.  Every command that writes a file writes one
+``<output>.manifest.json`` beside its first output, with the fully resolved
+snapshot; ``ballnls replay --manifest ...`` re-runs the command from it.
 """
 
 from __future__ import annotations
@@ -261,11 +261,10 @@ def _json_ready(obj):
     return obj
 
 
-def _write_report(path, command, cfg, results):
+def _write_report(path, command, results):
     report = {
         "schema_version": pio.SCHEMA_VERSION,
         "experiment": command,
-        "manifest": pio.build_manifest(command, _json_ready(cfg), cfg["seed"]),
         "results": _json_ready(results),
     }
     pio.atomic_write_bytes(
@@ -276,12 +275,14 @@ def _write_report(path, command, cfg, results):
 def _finish(command, cfg, results, header, rows, lines, failure) -> int:
     """An experiment's epilogue: the --out-json report of results (the
     runner's record) and the --out-csv table (header, rows) when asked for,
-    then lines on stdout, then AssertionFailure when failure names a
-    threshold that did not hold."""
+    with the run's manifest beside the first of them, then lines on stdout,
+    then AssertionFailure when failure names a threshold that did not hold."""
     if cfg["out_json"]:
-        _write_report(cfg["out_json"], command, cfg, results)
+        _write_report(cfg["out_json"], command, results)
     if cfg["out_csv"]:
         pio.write_csv(cfg["out_csv"], header, rows)
+    if cfg["out_json"] or cfg["out_csv"]:
+        _write_side_manifest(cfg["out_json"] or cfg["out_csv"], command, cfg)
     for line in lines:
         print(line)
     if failure:
@@ -289,14 +290,9 @@ def _finish(command, cfg, results, header, rows, lines, failure) -> int:
     return EXIT_OK
 
 
-def _write_side_manifest(out_path, command, cfg, seed, tensor_hash=None):
-    manifest = pio.build_manifest(
-        command,
-        _json_ready(cfg),
-        seed,
-        tensor_cache_hash=tensor_hash,
-        timestamps={"written": pio.utc_now()},
-    )
+def _write_side_manifest(out_path, command, cfg, tensor_hash=None):
+    """The run's one manifest, <out_path>.manifest.json."""
+    manifest = pio.build_manifest(command, _json_ready(cfg), tensor_hash)
     pio.write_manifest(manifest, str(out_path) + ".manifest.json")
 
 
@@ -313,7 +309,7 @@ def _cmd_tensor_build(cfg: dict) -> int:
         out = pio.default_cache_path(cfg["n_max"])
         cfg = dict(cfg, out=str(out))
     digest = pio.write_tensor_cache(tensor, out)
-    _write_side_manifest(out, "tensor-build", cfg, None, tensor_hash=digest)
+    _write_side_manifest(out, "tensor-build", cfg, digest)
     print(f"wrote {out} ({len(tensor.values)} values, sha256 {digest[:16]}...)")
     return EXIT_OK
 
@@ -390,7 +386,7 @@ def _cmd_evolve(cfg: dict) -> int:
             )
         raise
     pio.write_trajectory(traj, cfg["out"])
-    _write_side_manifest(cfg["out"], "evolve", cfg, cfg["seed"], tensor_hash)
+    _write_side_manifest(cfg["out"], "evolve", cfg, tensor_hash)
     print(f"wrote {cfg['out']} ({len(traj.times)} records, N={N})")
     return EXIT_OK
 
@@ -495,7 +491,9 @@ def _cmd_embeddings(cfg: dict) -> int:
         try:
             baseline = json.loads(Path(cfg["baseline"]).read_text("utf-8"))
             base_max = float(baseline["results"]["max_ratio"])
-        except (OSError, KeyError, ValueError) as err:
+            if not 0 < base_max < math.inf:
+                raise ValueError(f"max_ratio {base_max} is not finite and > 0")
+        except (OSError, KeyError, TypeError, ValueError) as err:
             raise UsageError(f"bad baseline report: {err}") from err
         if report.max_ratio > 2.0 * base_max:
             raise AssertionFailure(
@@ -534,6 +532,7 @@ def _cmd_norms(cfg: dict) -> int:
         print("\t".join(pio.format_g17(v) for v in row))
     if cfg["csv"]:
         pio.write_csv(cfg["csv"], header, rows)
+        _write_side_manifest(cfg["csv"], "norms", cfg)
     return EXIT_OK
 
 

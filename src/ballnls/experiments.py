@@ -380,8 +380,9 @@ def run_block_observables(
     avg_gsq = np.empty((samples, N))
     chunk = max(1, 2**23 // (256 * N))
     tw = trapezoid_weights(int(round(1.0 / dt_rec)) + 1, dt_rec)
+    ensemble = sample_free_batch(spec, rng, samples)
     for lo in range(0, samples, chunk):
-        A0 = sample_free_batch(spec, rng.child(lo), min(chunk, samples - lo))
+        A0 = ensemble[lo : lo + chunk]
         _, records = evolve_batch(A0, 0.0, 1.0, config)
         mod_sq = np.abs(records) ** 2
         block_vals[lo : lo + A0.shape[0]] = block_observable(mod_sq, dt_rec)

@@ -177,28 +177,20 @@ def read_trajectory(path) -> Trajectory:
 
 
 def build_manifest(
-    command: str,
-    config_snapshot: dict,
-    seed: int | None,
-    tensor_cache_hash: str | None = None,
-    timestamps: dict | None = None,
+    command: str, config_snapshot: dict, tensor_cache_hash: str | None = None
 ) -> dict:
-    manifest = {
+    """A run manifest: the resolved options, the seed among them, and the
+    time the manifest was written."""
+    return {
         "schema_version": SCHEMA_VERSION,
         "artifact_version": ARTIFACT_VERSION,
         "command": command,
         "config_snapshot": dict(sorted(config_snapshot.items())),
-        "seed": seed,
+        "seed": config_snapshot.get("seed"),
         "algorithm_id": RNG_ALGORITHM,
         "tensor_cache_hash": tensor_cache_hash,
+        "timestamps": {"written": datetime.now(timezone.utc).isoformat()},
     }
-    if timestamps is not None:
-        manifest["timestamps"] = timestamps
-    return manifest
-
-
-def utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat()
 
 
 def write_manifest(manifest: dict, path) -> None:
@@ -211,7 +203,11 @@ def read_manifest(path) -> dict:
         manifest = json.loads(Path(path).read_text("utf-8"))
     except (OSError, ValueError) as err:
         raise StorageError(f"cannot read manifest {path}: {err}") from err
-    if "command" not in manifest or "config_snapshot" not in manifest:
+    if not (
+        isinstance(manifest, dict)
+        and isinstance(manifest.get("command"), str)
+        and isinstance(manifest.get("config_snapshot"), dict)
+    ):
         raise StorageError(f"{path}: not a run manifest")
     return manifest
 

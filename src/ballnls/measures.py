@@ -330,6 +330,9 @@ def sample_gibbs_batch(
     if not 0 <= beta_q < np.inf:
         # exp(-inf * q) = 0 accepts no draw, so every round would run
         raise DomainError(f"beta_q must be finite and >= 0, got {beta_q}")
+    for name, value in (("count", count), ("max_rounds", max_rounds)):
+        if value < 1:
+            raise DomainError(f"{name} must be >= 1, got {value}")
     gen = np.random.Generator(np.random.PCG64(0))
     states = _pcg64_states(int(rng.seed), int(rng.stream_id), count)
     coeffs = np.empty((count, spec.N), dtype=complex)

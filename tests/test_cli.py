@@ -190,22 +190,122 @@ class TestEvolve:
         ) == 2
 
 
+_TRAJECTORY = (
+    "evolve", "--n", 4, "--t-end", 1.0, "--dt", 1 / 1024,
+    "--dt-record", 1 / 128, "--integrator", "collocation", "--out", "in.traj",
+)
+_REPORT = ("--out-json", "r.json", "--out-csv", "r.csv")
+# command: (set-up argv, argv, the files the run writes); the manifest sits
+# beside the first of them
+_RUNS = {
+    "tensor-build": ((), ("tensor-build", "--n-max", 3, "--out", "t.bin"), ("t.bin",)),
+    "evolve-reference": (
+        (),
+        ("evolve", "--n", 4, "--t-end", 0.1, "--dt", 1e-3, "--dt-record", 0.05,
+         "--seed", 3, "--out", "orig.traj"),
+        ("orig.traj",),
+    ),
+    "evolve-collocation": (
+        (),
+        ("evolve", "--n", 4, "--t-end", 0.1, "--dt", 1e-3, "--measure", "gibbs",
+         "--integrator", "collocation", "--seed", 5, "--out", "orig.traj"),
+        ("orig.traj",),
+    ),
+    "norms": (
+        _TRAJECTORY,
+        ("norms", "--in", "in.traj", "--kind", "xsb", "--b", 0.45, "--csv", "x.csv"),
+        ("x.csv",),
+    ),
+    "invariance": (
+        (),
+        ("experiment", "invariance", "--n", 4, "--samples", 100,
+         "--t-compare", 0.0) + _REPORT,
+        ("r.json", "r.csv"),
+    ),
+    "tails": (
+        (),
+        ("experiment", "tails", "--n", 4, "--samples", 10000) + _REPORT,
+        ("r.json", "r.csv"),
+    ),
+    # exits 4; a run with only --out-csv puts its manifest beside the CSV
+    "ladder": (
+        (),
+        ("experiment", "ladder", "--n-values", "4,8", "--t-end", 0.0625,
+         "--out-csv", "r.csv"),
+        ("r.csv",),
+    ),
+    "blocks": (
+        (),
+        ("experiment", "blocks", "--n", 3, "--samples", 1000,
+         "--n2-values", "1,2") + _REPORT,
+        ("r.json", "r.csv"),
+    ),
+    "embeddings": (
+        ("experiment", "embeddings", "--n", 4, "--trials", 2, "--out-json", "b.json"),
+        ("experiment", "embeddings", "--n", 8, "--trials", 2,
+         "--baseline", "b.json") + _REPORT,
+        ("r.json", "r.csv"),
+    ),
+}
+
+
+def _manifests(directory):
+    return {path.name for path in Path(directory).rglob("*.manifest.json")}
+
+
 class TestReplay:
-    def test_byte_identical_reproduction(self, tmp_path):
-        out = tmp_path / "orig.traj"
-        run(
-            "evolve", "--n", 4, "--t-end", 0.1, "--dt", 1e-3,
-            "--dt-record", 0.05, "--seed", 3, "--out", out,
-        )
-        replay_dir = tmp_path / "replayed"
-        assert run(
-            "replay", "--manifest", str(out) + ".manifest.json",
-            "--out-dir", replay_dir,
-        ) == 0
-        assert (replay_dir / "orig.traj").read_bytes() == out.read_bytes()
+    @pytest.mark.parametrize("setup, argv, outputs", _RUNS.values(), ids=_RUNS)
+    def test_byte_identical_reproduction(
+        self, tmp_path, monkeypatch, setup, argv, outputs
+    ):
+        monkeypatch.chdir(tmp_path)
+        if setup:
+            assert run(*setup) == 0
+        before = _manifests(tmp_path)
+        code = run(*argv)
+        assert code in (0, 4)
+        manifest = outputs[0] + ".manifest.json"
+        assert _manifests(tmp_path) - before == {manifest}
+        assert run("replay", "--manifest", manifest, "--out-dir", "replayed") == code
+        for name in outputs:
+            assert (tmp_path / "replayed" / name).read_bytes() == (
+                tmp_path / name
+            ).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "setup, argv",
+        [
+            ((), ("experiment", "invariance", "--n", 4, "--samples", 100,
+                  "--t-compare", 0.0)),
+            (_TRAJECTORY, ("norms", "--in", "in.traj", "--kind", "hs")),
+        ],
+        ids=["experiment", "norms"],
+    )
+    def test_no_output_file_no_manifest(self, tmp_path, monkeypatch, setup, argv):
+        monkeypatch.chdir(tmp_path)
+        if setup:
+            assert run(*setup) == 0
+        before = _manifests(tmp_path)
+        assert run(*argv) == 0
+        assert _manifests(tmp_path) == before
 
     def test_missing_manifest(self, tmp_path):
         assert run("replay", "--manifest", tmp_path / "nope.json") == 3
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"command": "evolve", "config_snapshot": []}',
+            '"command config_snapshot"',
+            '{"command": ["evolve"], "config_snapshot": {}}',
+        ],
+        ids=["snapshot-list", "string", "command-list"],
+    )
+    def test_malformed_manifest_exit_3(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert run("replay", "--manifest", path) == 3
+        assert "not a run manifest" in capsys.readouterr().err
 
     @staticmethod
     def edited_manifest(tmp_path, drop=(), **changes):
@@ -308,10 +408,11 @@ class TestExperiments:
             "--t-compare", 0.0, "--out-json", report,
         ) == 0
         data = json.loads(report.read_text())
+        assert set(data) == {"experiment", "results", "schema_version"}
         assert data["experiment"] == "invariance"
         assert all(row["ks"] == 0.0 for row in data["results"]["observables"])
-        assert "timestamps" not in data["manifest"]
-        assert (tmp_path / "inv.json").exists()
+        manifest = pio.read_manifest(tmp_path / "inv.json.manifest.json")
+        assert manifest["command"] == "invariance"
 
     def test_tails_small_sample_exit_2(self):
         assert run(
@@ -352,6 +453,27 @@ class TestExperiments:
             "experiment", "embeddings", "--clause", "i", "--n", 8,
             "--trials", 4, "--baseline", base,
         ) == 0
+
+    @pytest.mark.parametrize(
+        "baseline",
+        [
+            "[]",
+            '{"results": {"max_ratio": null}}',
+            '{"results": {"max_ratio": "nan"}}',
+            '{"results": {"max_ratio": 0}}',
+        ],
+        ids=["list", "null", "nan", "zero"],
+    )
+    def test_embeddings_bad_baseline_exit_2(self, tmp_path, capsys, baseline):
+        base = tmp_path / "base.json"
+        base.write_text(baseline)
+        report = tmp_path / "report.json"
+        assert run(
+            "experiment", "embeddings", "--n", 4, "--trials", 2,
+            "--baseline", base, "--out-json", report,
+        ) == 2
+        assert "bad baseline report" in capsys.readouterr().err
+        assert report.exists()
 
     def test_embeddings_bad_clause(self):
         assert run("experiment", "embeddings", "--clause", "ix", "--trials", 2) == 2

@@ -37,7 +37,7 @@ class TestRngStream:
 
     def test_algorithm_id(self, tmp_path):
         path = tmp_path / "run.manifest.json"
-        pio.write_manifest(pio.build_manifest("evolve", {}, 0), path)
+        pio.write_manifest(pio.build_manifest("evolve", {}), path)
         assert pio.read_manifest(path)["algorithm_id"] == "pcg64-seedseq"
 
     @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (0, -1)])
@@ -229,6 +229,16 @@ class TestGibbs:
         # exp(-inf * q) = 0 accepts no draw: refused, not run to the budget
         with pytest.raises(DomainError, match="beta_q"):
             sample_gibbs_batch(FreeMeasureSpec.derived(4), math.inf, RngStream(0), 5)
+
+    def test_empty_batch_or_budget_rejected(self):
+        # each divided by zero: the acceptance rate of no attempts
+        spec = FreeMeasureSpec.derived(4)
+        with pytest.raises(DomainError, match="count"):
+            sample_gibbs_batch(spec, 0.25, RngStream(0), 0)
+        with pytest.raises(DomainError, match="max_rounds"):
+            sample_gibbs_batch(spec, 0.25, RngStream(0), 5, max_rounds=0)
+        with pytest.raises(DomainError, match="max_rounds"):
+            sample_gibbs(spec, 0.25, RngStream(0), max_attempts=0)
 
 
 class TestChaosMoments:
