@@ -12,9 +12,9 @@ regular sinc form, never by dividing near r = 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
 from scipy.special import sici
@@ -252,14 +252,32 @@ def _canonical_tuples(n_max: int) -> np.ndarray:
     return np.stack([a[i], b[i], a[j], b[j]], axis=1) + 1
 
 
+@functools.cache
+def _pairs(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(iu, ju, pair, w) for the m = N(N+1)/2 index pairs p <= q.
+
+    Pair P = (iu[P], ju[P]) in row-major triangle order; pair[p, q] =
+    pair[q, p] is the rank of (min, max), and the weight w[P] is 2 off the
+    diagonal and 1 on it, so that a sum over p <= q counts both (p, q) and
+    (q, p).  All four are read-only.
+    """
+    iu, ju = np.triu_indices(N)
+    pair = np.empty((N, N), dtype=np.intp)
+    pair[iu, ju] = pair[ju, iu] = np.arange(iu.size)
+    w = np.where(iu == ju, 1.0, 2.0)
+    for arr in (iu, ju, pair, w):
+        arr.flags.writeable = False
+    return iu, ju, pair, w
+
+
 @dataclass(frozen=True)
 class CorrelationTensor:
     """Fully symmetric quartic tensor c(n,n1,n2,n3), indices <= n_max.
 
     ``values`` holds one float64 per canonical (sorted) tuple, in the order
     of _canonical_tuples(n_max), which is the cache order.  The one array
-    kept per N is the contraction matrix; a tensor made by
-    dataclasses.replace starts with none.
+    kept per N is the real pair-packed contraction matrix, 8 m^2 bytes with
+    m = N(N+1)/2; a tensor made by dataclasses.replace starts with none.
     """
 
     n_max: int
@@ -285,19 +303,31 @@ class CorrelationTensor:
         return float(self.values[rank])
 
     def dense(self, N: int | None = None) -> np.ndarray:
-        """Read-only (N,N,N,N) view C[n-1,n1-1,n2-1,n3-1] of the real part
-        of contraction_matrix(N)."""
-        N = self.n_max if N is None else int(N)
-        C = self.contraction_matrix(N).real.reshape(N, N, N, N)
+        """Read-only (N,N,N,N) array C[n-1,n1-1,n2-1,n3-1], gathered afresh
+        from contraction_matrix(N) on each call."""
+        C = self._gather(N)
         C.flags.writeable = False
         return C
 
-    def contraction_matrix(self, N: int) -> np.ndarray:
-        """C reshaped to (n*n1, n2*n3), equal to (n1*n2, n*n3) by symmetry,
-        so cubic terms become two GEMMs.
+    def _gather(self, N: int | None) -> np.ndarray:
+        """Writable dense(N): K[pair(n,n1), pair(n2,n3)] / w_pair(n,n1).
 
-        Stored complex, the dtype every caller multiplies it in, so numpy
-        does not up-cast the N^4 matrix on each call.
+        One N^4 allocation; dividing by the pair weights 1 and 2 is exact.
+        """
+        N = self.n_max if N is None else int(N)
+        K = self.contraction_matrix(N)
+        _, _, pair, w = _pairs(N)
+        P = pair.ravel()
+        C = K[P[:, None], P]
+        C /= w[P, None]
+        return C.reshape(N, N, N, N)
+
+    def contraction_matrix(self, N: int) -> np.ndarray:
+        """Real (m, m) matrix K[P, Q] = w_P c(p,q,n,c), m = N(N+1)/2.
+
+        Rows P = (p <= q) and columns Q = (n <= c) run over the index pairs
+        of _pairs(N), which also gives the weights w.  cubic_term contracts
+        with it in one real GEMM.
         """
         N = int(N)
         if N > self.n_max:
@@ -305,15 +335,18 @@ class CorrelationTensor:
         if N not in self._matrices:
             keys = _canonical_tuples(self.n_max)
             inside = keys[:, 3] <= N
-            idx = np.ascontiguousarray(keys[inside].T) - 1
+            a, b, c, d = np.ascontiguousarray(keys[inside].T) - 1
             vals = self.values[inside]
-            M1 = np.zeros((N * N, N * N), dtype=complex)
-            # scatter through flat indices: tuple indexing of the 4-d array
-            # took twice as long at N = 64
-            flat = M1.reshape(-1).real
-            for i, j, k, l in permutations(idx):
-                flat[((i * N + j) * N + k) * N + l] = vals
-            self._matrices[N] = M1
+            _, _, pair, w = _pairs(N)
+            K = np.zeros((w.size, w.size))
+            # a sorted tuple splits into two sorted pairs in three ways, and
+            # either pair can be the row: the six cells its 24 permutations
+            # reach
+            for P, Q in ((pair[a, b], pair[c, d]), (pair[a, c], pair[b, d]),
+                         (pair[a, d], pair[b, c])):
+                K[P, Q] = w[P] * vals
+                K[Q, P] = w[Q] * vals
+            self._matrices[N] = K
         return self._matrices[N]
 
 
@@ -342,7 +375,7 @@ class TruncatedTensorView:
 
     def dense(self, N: int | None = None) -> np.ndarray:
         N = self.base.n_max if N is None else int(N)
-        C = self.base.dense(N).copy()
+        C = self.base._gather(N)
         sq = (np.arange(1, N + 1) ** 2).astype(float)
         res = (
             sq[:, None, None, None]
@@ -365,15 +398,28 @@ def build_tensor(n_max: int) -> CorrelationTensor:
     return CorrelationTensor(n_max=n_max, values=values)
 
 
-def cubic_term(A: np.ndarray, M1: np.ndarray) -> np.ndarray:
+def cubic_term(A: np.ndarray, K: np.ndarray) -> np.ndarray:
     """w_n = sum c(n,n1,n2,n3) a_n1 conj(a_n2) a_n3 for a (samples, N) batch.
 
-    M1 is ``CorrelationTensor.contraction_matrix(N)``; the sum is two GEMMs.
+    K is ``CorrelationTensor.contraction_matrix(N)``.  c is symmetric in
+    (n1, n2), so only the symmetric part of a_n1 conj(a_n2) survives:
+    R_pq = Re(a_p conj(a_q)) = x_p x_q + y_p y_q, with a = x + i y.  Then
+    F(n, c) = sum_{p<=q} w_pq R_pq c(p,q,n,c) = (K^T R)[pair(n, c)] is real
+    and symmetric, and w_n = sum_c F(n, c) a_c: one real GEMM and two real
+    contractions.  Samples sit on the fast axis of every intermediate, so
+    the pair gathers copy long rows.
     """
     S, N = A.shape
-    D = (A[:, :, None] * np.conj(A)[:, None, :]).reshape(S, N * N)
-    F = (D @ M1).reshape(S, N, N)
-    return np.einsum("snc,sc->sn", F, A)
+    iu, ju, pair, _ = _pairs(N)
+    X = A.real.T.copy()
+    Y = A.imag.T.copy()
+    R = X[iu] * X[ju]
+    R += Y[iu] * Y[ju]
+    F = (K.T @ R)[pair]
+    W = np.empty((S, N), dtype=complex)
+    W.real = np.einsum("ncs,cs->ns", F, X).T
+    W.imag = np.einsum("ncs,cs->ns", F, Y).T
+    return W
 
 
 def quartic_form(

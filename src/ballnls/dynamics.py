@@ -184,16 +184,16 @@ def nonlinear_coefficient(
     """G_n(a), the mode-n coefficient of P_N(|u|^2 u) / ||e_n||^2."""
     if not (1 <= n <= state.N):
         raise DomainError(f"n must be in [1, {state.N}]")
-    M1 = tensor.contraction_matrix(state.N)
-    return complex(TRILINEAR_SCALE * cubic_term(state.coeffs[None, :], M1)[0, n - 1])
+    K = tensor.contraction_matrix(state.N)
+    return complex(TRILINEAR_SCALE * cubic_term(state.coeffs[None, :], K)[0, n - 1])
 
 
-def _rk4_batch(A, t, dt, M1, nsq, coupling):
+def _rk4_batch(A, t, dt, K, nsq, coupling):
     """One rotating-frame RK4 step for a (samples, N) batch at time t."""
 
     def rhs(B, tau):
         ph = np.exp(2j * np.pi * nsq * tau)
-        return -1j * coupling * ph * (TRILINEAR_SCALE * cubic_term(B / ph, M1))
+        return -1j * coupling * ph * (TRILINEAR_SCALE * cubic_term(B / ph, K))
 
     B = A * np.exp(2j * np.pi * nsq * t)
     k1 = rhs(B, t)
@@ -218,8 +218,8 @@ def _stepper(N: int, config: IntegratorConfig, tensor: CorrelationTensor | None)
     """stepper(A, t): one step of config.method for a (samples, N) batch."""
     nsq = np.arange(1, N + 1, dtype=float) ** 2
     if config.method == "reference_rk4":
-        M1 = (tensor if tensor is not None else build_tensor(N)).contraction_matrix(N)
-        return lambda A, t: _rk4_batch(A, t, config.dt, M1, nsq, config.coupling)
+        K = (tensor if tensor is not None else build_tensor(N)).contraction_matrix(N)
+        return lambda A, t: _rk4_batch(A, t, config.dt, K, nsq, config.coupling)
     E, P = _collocation_ops(N)
     return lambda A, t: _strang_batch(A, config.dt, E, P, nsq, config.coupling)
 
