@@ -30,12 +30,14 @@ __all__ = [
     "eigenfunction_value",
     "eval_matrix",
     "nodal_modulus_sq",
+    "quartic_grid",
     "trapezoid_weights",
     "eigenfunction_lp_norm",
     "inner_product",
     "correlation",
     "correlation_quadrature",
     "build_tensor",
+    "CubicBuffers",
     "cubic_term",
     "quartic_form",
     "sigma_sum",
@@ -131,20 +133,22 @@ def eval_matrix(N: int, nodes: np.ndarray) -> np.ndarray:
     return n * np.pi * np.sinc(n * nodes[None, :])
 
 
-def nodal_modulus_sq(A: np.ndarray, E: np.ndarray):
-    """Yield (rows, |A[rows] @ E|^2) over row chunks of ~2^19 nodal values.
+def nodal_modulus_sq(A: np.ndarray, E: np.ndarray, rows: int | None = None):
+    """Yield (rows, |A[rows] @ E|^2) over row chunks.
 
-    The chunks (4 MB; 256 rows at N = 64 on rule_for_modes(4 N)) keep the
-    GEMM output and its temporaries cache-sized.  E is real, so two real
-    GEMMs replace the complex one numpy would run on E promoted to complex,
-    and no square root is taken.  The strided .real/.imag views are copied,
-    or matmul bypasses BLAS.
+    A chunk holds ``rows`` rows, by default as many as make ~2^19 nodal
+    values (4 MB): 256 rows at N = 64 on rule_for_modes(4 N), which keep
+    the GEMM output and its temporaries cache-sized.  E is real, so two
+    real GEMMs replace the complex one numpy would run on E promoted to
+    complex, and no square root is taken.  The strided .real/.imag views
+    are copied, or matmul bypasses BLAS.
 
     The yielded array is one buffer, reused for every chunk: the caller may
     overwrite it but must not keep it.  Fresh 4 MB arrays per chunk came
     from newly mapped pages and cost ~1 ms each in page faults.
     """
-    step = max(1, min(A.shape[0], 2**19 // E.shape[1]))
+    step = 2**19 // E.shape[1] if rows is None else rows
+    step = max(1, min(A.shape[0], step))
     u2_buf = np.empty((step, E.shape[1]))
     im_buf = np.empty_like(u2_buf)
     for lo in range(0, A.shape[0], step):
@@ -155,6 +159,41 @@ def nodal_modulus_sq(A: np.ndarray, E: np.ndarray):
         im *= im
         u2 += im
         yield slice(lo, lo + step), u2
+
+
+@functools.cache
+def quartic_grid(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(S, H) with int_B |u|^4 dx = s^T H s exactly, s = |a @ S|^2.
+
+    v(r) = r u(r) = sum a_n sin(n pi r), so ||u||_{L^4}^4 = 4 pi int_0^1
+    |v|^4 r^-2 dr.  |v|^2 = sum_{k <= 2N} g_k cos(k pi r) is fixed by its
+    samples at r_j = j/2N (DCT-I, Martucci 1994), of which the two ends
+    are 0: S[n-1, j-1] = sin(n pi j/2N) gives the 2N - 1 interior ones, and
+    g = D s.  As sum g_k = |v(0)|^2 = 0, the integral is g^T H0 g with
+    H0[k, l] = 2 pi [F(k + l) + F(|k - l|)], F as in _f_table, so
+    H = D^T H0 D, (2N - 1)^2 values.
+
+    H is formed in long double and then rounded: formed in float64, its
+    rounding error grew with N, to 1.2e-13 relative in the quartic at
+    N = 256 against 8e-15 this way (platforms whose long double is float64
+    get the former).  Both arrays are read-only and shared by every caller.
+    """
+    N = _check_index(N, "N")
+    M = 2 * N
+    n = np.arange(1, N + 1)[:, None]
+    k = np.arange(M + 1)[:, None]
+    j = np.arange(1, M)
+    # the angles are reduced mod 2 pi exactly, on the integers n j and k j
+    S = np.sin(np.pi * ((n * j) % (2 * M)) / M)
+    pi = np.arccos(np.longdouble(-1.0))
+    D = np.cos(pi * ((k * j) % (2 * M)) / M) * (2 / np.longdouble(M))
+    D[[0, M]] /= 2
+    F = _f_table(2 * M).astype(np.longdouble)
+    H0 = 2 * pi * (F[k + k.T] + F[abs(k - k.T)])
+    H = (D.T @ H0 @ D).astype(float)
+    for arr in (S, H):
+        arr.flags.writeable = False
+    return S, H
 
 
 def trapezoid_weights(count: int, dt: float) -> np.ndarray:
@@ -222,9 +261,9 @@ def correlation_quadrature(n: int, n1: int, n2: int, n3: int) -> float:
 def _correlation_batch(tuples: np.ndarray) -> np.ndarray:
     """Vectorized closed form over an (M, 4) integer index array.
 
-    Each entry is a signed sum of F(|k|) = (1 - cos |k| pi) - |k| pi Si(|k| pi)
-    over eight sums k = n +- n1 +- n2 +- n3.  Only the |k| up to the
-    largest sum occur, so F is tabulated once per |k| and gathered.
+    Each entry is a signed sum of F(|k|) (_f_table) over eight sums
+    k = n +- n1 +- n2 +- n3.  Only the |k| up to the largest sum occur, so
+    F is tabulated once per |k| and gathered.
     """
     n, n1, n2, n3 = np.asarray(tuples, dtype=np.int64).T
     s1, s2 = n - n1, n + n1
@@ -235,10 +274,16 @@ def _correlation_batch(tuples: np.ndarray) -> np.ndarray:
             axis=1,
         )
     )
-    q = np.arange(ks.max() + 1) * np.pi
-    F = (1.0 - np.cos(q)) - q * sici(q)[0]
+    F = _f_table(ks.max())
     eps = np.array([1, 1, -1, -1, -1, -1, 1, 1], dtype=float)
     return 4.0 * np.pi * ((eps * F[ks]).sum(axis=1)) / 8.0
+
+
+def _f_table(k_max: int) -> np.ndarray:
+    """F(k) = int_0^1 (cos(k pi r) - 1) r^-2 dr = (1 - cos k pi) - k pi Si(k pi)
+    for k = 0..k_max."""
+    q = np.arange(k_max + 1) * np.pi
+    return (1.0 - np.cos(q)) - q * sici(q)[0]
 
 
 def _canonical_tuples(n_max: int) -> np.ndarray:
@@ -398,7 +443,24 @@ def build_tensor(n_max: int) -> CorrelationTensor:
     return CorrelationTensor(n_max=n_max, values=values)
 
 
-def cubic_term(A: np.ndarray, K: np.ndarray) -> np.ndarray:
+class CubicBuffers:
+    """cubic_term's work arrays for one (samples, N) batch shape.
+
+    A caller that evaluates the cubic term of many same-shaped batches
+    passes one of these, so that no call allocates.
+    """
+
+    def __init__(self, samples: int, N: int):
+        m = N * (N + 1) // 2
+        self.X, self.Y, self.WT = (np.empty((N, samples)) for _ in range(3))
+        self.R, self.T, self.G = (np.empty((m, samples)) for _ in range(3))
+        self.F = np.empty((N, N, samples))
+        self.W = np.empty((samples, N), dtype=complex)
+
+
+def cubic_term(
+    A: np.ndarray, K: np.ndarray, buffers: CubicBuffers | None = None
+) -> np.ndarray:
     """w_n = sum c(n,n1,n2,n3) a_n1 conj(a_n2) a_n3 for a (samples, N) batch.
 
     K is ``CorrelationTensor.contraction_matrix(N)``.  c is symmetric in
@@ -408,18 +470,27 @@ def cubic_term(A: np.ndarray, K: np.ndarray) -> np.ndarray:
     and symmetric, and w_n = sum_c F(n, c) a_c: one real GEMM and two real
     contractions.  Samples sit on the fast axis of every intermediate, so
     the pair gathers copy long rows.
+
+    Every step writes into ``buffers`` (fresh ones when None), and the
+    result is buffers.W, which the next call with them overwrites.
     """
     S, N = A.shape
     iu, ju, pair, _ = _pairs(N)
-    X = A.real.T.copy()
-    Y = A.imag.T.copy()
-    R = X[iu] * X[ju]
-    R += Y[iu] * Y[ju]
-    F = (K.T @ R)[pair]
-    W = np.empty((S, N), dtype=complex)
-    W.real = np.einsum("ncs,cs->ns", F, X).T
-    W.imag = np.einsum("ncs,cs->ns", F, Y).T
-    return W
+    b = CubicBuffers(S, N) if buffers is None else buffers
+    X, Y, R, T, G = b.X, b.Y, b.R, b.T, b.G
+    np.copyto(X, A.real.T)
+    np.copyto(Y, A.imag.T)
+    # R = X[iu] X[ju] + Y[iu] Y[ju]; G is scratch until the GEMM fills it.
+    # The row gathers take mode "clip" (the indices are in range): "raise"
+    # first copies out.
+    np.multiply(X.take(iu, 0, R, "clip"), X.take(ju, 0, T, "clip"), out=R)
+    np.multiply(Y.take(iu, 0, T, "clip"), Y.take(ju, 0, G, "clip"), out=T)
+    R += T
+    np.matmul(K.T, R, out=G)
+    G.take(pair, 0, b.F, "clip")
+    b.W.real = np.einsum("ncs,cs->ns", b.F, X, out=b.WT).T
+    b.W.imag = np.einsum("ncs,cs->ns", b.F, Y, out=b.WT).T
+    return b.W
 
 
 def quartic_form(

@@ -315,19 +315,20 @@ def _cmd_tensor_build(cfg: dict) -> int:
 
 
 def _check_cached_tensor(tensor, n: int, path) -> None:
-    """The cached tensor's quartic of a probe state must match the quadrature.
+    """The cached tensor's quartic of a probe state must match the grid's.
 
     The digest shows only that the file is intact, not that its entries are
-    the correlation coefficients of this code; the radial quadrature is an
-    independent oracle for them.
+    the correlation coefficients of this code; the grid quartic
+    (measures.quartic_norm_quadrature), which never reads the tensor, is
+    an independent oracle for them.
     """
     probe = np.exp(1j * np.arange(n)) / np.arange(1, n + 1)
     exact = quartic_form(probe, tensor)
-    quad = quartic_norm_quadrature(probe)
-    if not abs(exact - quad) <= 1e-10 * quad:
+    grid = quartic_norm_quadrature(probe)
+    if not abs(exact - grid) <= 1e-10 * grid:
         raise StorageError(
             f"{path}: tensor quartic {exact:.17g} of a probe state disagrees "
-            f"with the radial quadrature {quad:.17g}"
+            f"with the grid quartic {grid:.17g}"
         )
 
 

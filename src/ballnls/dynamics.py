@@ -30,6 +30,7 @@ import numpy as np
 
 from .basis import (
     CorrelationTensor,
+    CubicBuffers,
     build_tensor,
     cubic_term,
     eval_matrix,
@@ -188,20 +189,55 @@ def nonlinear_coefficient(
     return complex(TRILINEAR_SCALE * cubic_term(state.coeffs[None, :], K)[0, n - 1])
 
 
-def _rk4_batch(A, t, dt, K, nsq, coupling):
-    """One rotating-frame RK4 step for a (samples, N) batch at time t."""
+class _RK4Buffers:
+    """The arrays one rotating-frame RK4 step writes, for one batch shape."""
 
-    def rhs(B, tau):
+    def __init__(self, samples: int, N: int):
+        self.cubic = CubicBuffers(samples, N)
+        self.B, self.Z, self.k1, self.k2, self.k3, self.k4 = (
+            np.empty((samples, N), dtype=complex) for _ in range(6)
+        )
+
+
+def _rk4_batch(A, t, dt, K, nsq, coupling, buf):
+    """One rotating-frame RK4 step for a (samples, N) batch at time t.
+
+    The step is
+
+        B = A e(n^2 t),  k(Z, tau) = -i coupling ph (G(Z / ph) / 2 pi),
+        ph = e(n^2 tau),  k1 = k(B, t),  k2 = k(B + dt/2 k1, t + dt/2),
+        k3 = k(B + dt/2 k2, t + dt/2),  k4 = k(B + dt k3, t + dt),
+        B + dt/6 (k1 + 2 k2 + 2 k3 + k4),  times e(-n^2 (t + dt)),
+
+    with every product and sum taken in this order but written into buf
+    (_RK4Buffers), so the bits are those of the plain expressions.  Fresh
+    (samples, N) temporaries would come from new, page-faulting mappings
+    whenever glibc's mmap threshold is low, so the step's cost would
+    depend on what the process ran before.  Returns buf.B, which the next
+    step with buf overwrites; A may be buf.B.
+    """
+    B, Z = buf.B, buf.Z
+
+    def k(src, tau, out):
         ph = np.exp(2j * np.pi * nsq * tau)
-        return -1j * coupling * ph * (TRILINEAR_SCALE * cubic_term(B / ph, K))
+        W = cubic_term(np.divide(src, ph, out=Z), K, buf.cubic)
+        np.multiply(TRILINEAR_SCALE, W, out=W)
+        return np.multiply(-1j * coupling * ph, W, out=out)
 
-    B = A * np.exp(2j * np.pi * nsq * t)
-    k1 = rhs(B, t)
-    k2 = rhs(B + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = rhs(B + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = rhs(B + dt * k3, t + dt)
-    B = B + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return B * np.exp(-2j * np.pi * nsq * (t + dt))
+    def stage(h, k_prev):
+        np.multiply(h, k_prev, out=Z)
+        return np.add(B, Z, out=Z)
+
+    np.multiply(A, np.exp(2j * np.pi * nsq * t), out=B)
+    k1 = k(B, t, buf.k1)
+    k2 = k(stage(0.5 * dt, k1), t + 0.5 * dt, buf.k2)
+    k3 = k(stage(0.5 * dt, k2), t + 0.5 * dt, buf.k3)
+    k4 = k(stage(dt, k3), t + dt, buf.k4)
+    acc = np.add(k1, np.multiply(2, k2, out=k2), out=k1)
+    np.add(acc, np.multiply(2, k3, out=k3), out=acc)
+    np.add(acc, k4, out=acc)
+    np.add(B, np.multiply(dt / 6.0, acc, out=acc), out=B)
+    return np.multiply(B, np.exp(-2j * np.pi * nsq * (t + dt)), out=B)
 
 
 def _strang_batch(A, dt, E, P, nsq, coupling):
@@ -214,12 +250,19 @@ def _strang_batch(A, dt, E, P, nsq, coupling):
     return A * half
 
 
-def _stepper(N: int, config: IntegratorConfig, tensor: CorrelationTensor | None):
-    """stepper(A, t): one step of config.method for a (samples, N) batch."""
+def _stepper(
+    shape: tuple[int, int], config: IntegratorConfig, tensor: CorrelationTensor | None
+):
+    """stepper(A, t): one step of config.method for a batch of this shape.
+
+    The RK4 stepper owns its buffers, and its result is one of them.
+    """
+    S, N = shape
     nsq = np.arange(1, N + 1, dtype=float) ** 2
     if config.method == "reference_rk4":
         K = (tensor if tensor is not None else build_tensor(N)).contraction_matrix(N)
-        return lambda A, t: _rk4_batch(A, t, config.dt, K, nsq, config.coupling)
+        buf = _RK4Buffers(S, N)
+        return lambda A, t: _rk4_batch(A, t, config.dt, K, nsq, config.coupling, buf)
     E, P = _collocation_ops(N)
     return lambda A, t: _strang_batch(A, config.dt, E, P, nsq, config.coupling)
 
@@ -256,7 +299,7 @@ def _step(
 ) -> RadialState:
     """One step from state, checked like an evolve_batch record."""
     A = state.coeffs[None, :]
-    stepped = _stepper(state.N, config, tensor)(A, state.time)
+    stepped = _stepper(A.shape, config, tensor)(A, state.time)
     time = state.time + config.dt
     _check_record(stepped, _mass(A), time)
     return RadialState(N=state.N, coeffs=stepped[0], time=time)
@@ -282,8 +325,9 @@ def conserved_quantities(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mass, energy) per row of a (records, N) coefficient matrix.
 
     mass = 2 pi sum |a|^2 and energy = 2 pi^2 sum n^2 |a|^2 + Q/4, with the
-    quartic Q = ||u||_{L^4}^4 from the radial quadrature, whichever
-    integrator produced the coefficients.
+    quartic Q = ||u||_{L^4}^4 from the exact grid form
+    (measures.quartic_norm_quadrature), whichever integrator produced the
+    coefficients.
     """
     # measures imports RadialState from this module
     from .measures import quartic_norm_quadrature
@@ -347,7 +391,7 @@ def evolve_batch(
         if abs(rec_every * config.dt - config.dt_record) > 1e-9 * config.dt_record:
             raise DomainError("dt_record must be an integer multiple of dt")
 
-    stepper = _stepper(N, config, tensor)
+    stepper = _stepper(A.shape, config, tensor)
 
     # t0, every rec_every-th step, and the last step
     count = 1 + -(-steps // rec_every)

@@ -12,6 +12,7 @@ from scipy.special import sici
 
 from ballnls.basis import (
     CorrelationTensor,
+    CubicBuffers,
     _correlation_batch,
     TruncatedTensorView,
     build_tensor,
@@ -305,6 +306,11 @@ class TestCubicTermOracle:
         ref = np.einsum("abcd,sb,sc,sd->sa", C, A, A.conj(), A)
         assert W.shape == (S, N) and W.dtype == complex
         assert W.flags.c_contiguous
+        # reused buffers give the same bits, whatever they held before
+        buffers = CubicBuffers(S, N)
+        cubic_term(wide[:, :N][::-1], tensor12.contraction_matrix(N), buffers)
+        again = cubic_term(A, tensor12.contraction_matrix(N), buffers)
+        assert np.array_equal(again, W)
         np.testing.assert_allclose(
             W, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max()
         )

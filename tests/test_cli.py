@@ -75,7 +75,7 @@ class TestTensorBuild:
             "evolve", "--n", 4, "--t-end", 0.01, "--dt", 1e-3,
             "--integrator", "reference", "--out", tmp_path / "a.traj",
         ) == 3
-        assert "disagrees with the radial quadrature" in capsys.readouterr().err
+        assert "disagrees with the grid quartic" in capsys.readouterr().err
         assert not (tmp_path / "a.traj").exists()
 
     def test_quad_order_option_removed(self, tmp_path):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ballnls.basis import build_tensor
+from ballnls.basis import build_tensor, cubic_term
 from ballnls.dynamics import (
+    TRILINEAR_SCALE,
     IntegratorConfig,
     RadialState,
     Trajectory,
@@ -178,6 +179,40 @@ class TestEvolveBookkeeping:
         times_t, records_t = evolve_batch(A, 0.0, 0.01, cfg, tensor=tensor)
         assert np.array_equal(times, times_t)
         assert np.array_equal(records, records_t)
+
+    def test_rk4_steps_match_plain_arithmetic(self, tensor):
+        # The buffered step takes every product and sum of this plain one,
+        # in the same order, so the bits agree.  Runs of different batch
+        # sizes in one process each start from their own buffers.
+        K = tensor.contraction_matrix(8)
+        nsq = np.arange(1, 9, dtype=float) ** 2
+        dt, coupling, steps = 1e-3, 1.5, 4
+
+        def rhs(B, tau):
+            ph = np.exp(2j * np.pi * nsq * tau)
+            return -1j * coupling * ph * (TRILINEAR_SCALE * cubic_term(B / ph, K))
+
+        def plain(A):
+            out = [A]
+            for step in range(steps):
+                t = step * dt
+                B = A * np.exp(2j * np.pi * nsq * t)
+                k1 = rhs(B, t)
+                k2 = rhs(B + 0.5 * dt * k1, t + 0.5 * dt)
+                k3 = rhs(B + 0.5 * dt * k2, t + 0.5 * dt)
+                k4 = rhs(B + dt * k3, t + dt)
+                B = B + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+                A = B * np.exp(-2j * np.pi * nsq * (t + dt))
+                out.append(A)
+            return np.stack(out)
+
+        cfg = IntegratorConfig(dt=dt, coupling=coupling, dt_record=dt)
+        for count in (37, 5, 37):
+            A = np.stack([small_state(seed=k).coeffs for k in range(count)])
+            before = A.copy()
+            _, records = evolve_batch(A, 0.0, steps * dt, cfg, tensor=tensor)
+            assert np.array_equal(records.view(float), plain(A).view(float)), count
+            assert np.array_equal(A, before)
 
     def test_subwindow_splitting_is_bookkeeping(self):
         # evolving [0, T] then [T, 2T] equals one pass over [0, 2T]

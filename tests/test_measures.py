@@ -2,12 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ballnls import io as pio
-from ballnls.basis import build_tensor, eval_matrix, quartic_form, rule_for_modes
+from ballnls.basis import (
+    build_tensor,
+    eval_matrix,
+    quartic_form,
+    quartic_grid,
+    rule_for_modes,
+)
 from ballnls.errors import DomainError, SamplingError
 from ballnls.measures import (
     _FREE_CHUNK,
+    _QUARTIC_ROWS,
     DEFAULT_BETA_Q,
     FreeMeasureSpec,
     RngStream,
@@ -119,39 +128,81 @@ class TestFreeBatchExact:
         self.check(1, seed, 2**64 - 2, 4)
 
 
+@pytest.fixture(scope="module")
+def tensor12():
+    return build_tensor(12)
+
+
 class TestQuarticBatch:
-    @pytest.mark.parametrize("N", [1, 8])
+    @pytest.mark.parametrize("N", [1, 8, 64, 256])
     def test_matches_per_row_quadrature(self, N):
+        # physical-space oracle: Gauss-Legendre on rule_for_modes(4 N)
         rule = rule_for_modes(4 * N)
-        chunk = 2**19 // rule.order
         E = eval_matrix(N, rule.nodes)
         w = rule.weights * rule.nodes**2
-        A = sample_free_batch(FreeMeasureSpec.derived(N), RngStream(seed=8), 2 * chunk + 1)
+        count = 4 + 2048 // N
+        A = sample_free_batch(FreeMeasureSpec.derived(N), RngStream(seed=8), count)
+        # single top-mode rows: the highest frequencies the grid must resolve
+        A[-2:] = 0.0
+        A[-2, -1], A[-1, -1] = 1.0, 0.3 - 2.0j
         got = _quartic_batch(A)
         expected = [4.0 * np.pi * np.sum(w * np.abs(a @ E) ** 4) for a in A]
         assert got == pytest.approx(expected, rel=1e-13)
-        # a row's value does not depend on where the chunks cut the batch
-        assert np.array_equal(got[chunk:], _quartic_batch(A[chunk:]))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        N=st.integers(1, 12),
+        rows=st.integers(1, 5),
+        stride=st.integers(1, 3),
+        amp=st.floats(1e-3, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(N=1, rows=1, stride=1, amp=1.0, seed=0)
+    @example(N=1, rows=3, stride=2, amp=1.0, seed=1)
+    @example(N=12, rows=5, stride=3, amp=1.0, seed=2)
+    def test_matches_tensor_quartic(self, tensor12, N, rows, stride, amp, seed):
+        gen = np.random.default_rng(seed)
+        shape = (rows, N * stride + 1)
+        wide = amp * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
+        # a column slice of a wider array, so never C-contiguous
+        A = wide[:, 1::stride][:, :N]
+        expected = quartic_form(A, tensor12)
+        assert _quartic_batch(A) == pytest.approx(expected, rel=1e-12)
+
+    def test_chunk_boundaries_do_not_change_rows(self):
+        # Every chunk here has two rows or more: numpy sends a one-row
+        # product to BLAS gemv, whose last bit may differ from gemm's.
+        A = sample_free_batch(
+            FreeMeasureSpec.derived(8), RngStream(seed=8), 2 * _QUARTIC_ROWS + 5
+        )
+        got = _quartic_batch(A)
+        for lo in (1, 2, _QUARTIC_ROWS - 1, _QUARTIC_ROWS, _QUARTIC_ROWS + 3):
+            assert np.array_equal(got[lo:], _quartic_batch(A[lo:])), lo
+
+    def test_no_modes_rejected(self):
+        with pytest.raises(DomainError):
+            _quartic_batch(np.zeros((3, 0), dtype=complex))
+        with pytest.raises(DomainError):
+            quartic_norm_quadrature(np.zeros(0, dtype=complex))
 
     def test_bits_pinned(self):
         # The Gibbs accept/reject decisions and the invariance observable
         # read these bits; this is the formula the draws were recorded with.
         N = 8
-        rule = rule_for_modes(4 * N)
-        chunk = 2**19 // rule.order
-        E = eval_matrix(N, rule.nodes)
-        w = rule.weights * rule.nodes**2
+        S, H = quartic_grid(N)
+        chunk = _QUARTIC_ROWS
         A = sample_free_batch(FreeMeasureSpec.derived(N), RngStream(seed=9), 2 * chunk + 5)
         expected = np.empty(A.shape[0])
         for lo in range(0, A.shape[0], chunk):
             a = A[lo : lo + chunk]
-            u2 = np.ascontiguousarray(a.real) @ E
-            u2 *= u2
-            im = np.ascontiguousarray(a.imag) @ E
+            s = np.ascontiguousarray(a.real) @ S
+            s *= s
+            im = np.ascontiguousarray(a.imag) @ S
             im *= im
-            u2 += im
-            u2 *= u2
-            expected[lo : lo + chunk] = 4.0 * np.pi * (u2 @ w)
+            s += im
+            hs = s @ H
+            hs *= s
+            expected[lo : lo + chunk] = hs.sum(axis=1)
         assert np.array_equal(_quartic_batch(A), expected)
 
 
