@@ -1,9 +1,10 @@
 """Radial sine eigenbasis on the unit ball.
 
 Eigenfunctions e_n(x) = sin(n pi |x|)/|x| with Dirichlet boundary, their
-L^p norms, the quartic correlation tensor c(n,n1,n2,n3) = int_B e_n e_n1
-e_n2 e_n3 dx with its near-resonant truncated view, the diagonal sigma
-sums, and lattice-point counting on circles.
+L^p norms, the exact grid forms of the cubic term and the quartic, the
+quartic correlation tensor c(n,n1,n2,n3) = int_B e_n e_n1 e_n2 e_n3 dx
+with its near-resonant truncated view, the diagonal sigma sums, and
+lattice-point counting on circles.
 
 All integrals over the ball reduce to 4*pi * int_0^1 f(r) r^2 dr for
 radial f.  Integrands with 1/r factors are always evaluated through their
@@ -31,6 +32,7 @@ __all__ = [
     "eval_matrix",
     "nodal_modulus_sq",
     "quartic_grid",
+    "cubic_grid",
     "trapezoid_weights",
     "eigenfunction_lp_norm",
     "inner_product",
@@ -138,10 +140,11 @@ def nodal_modulus_sq(A: np.ndarray, E: np.ndarray, rows: int | None = None):
 
     A chunk holds ``rows`` rows, by default as many as make ~2^19 nodal
     values (4 MB): 256 rows at N = 64 on rule_for_modes(4 N), which keep
-    the GEMM output and its temporaries cache-sized.  E is real, so two
-    real GEMMs replace the complex one numpy would run on E promoted to
-    complex, and no square root is taken.  The strided .real/.imag views
-    are copied, or matmul bypasses BLAS.
+    the GEMM output and its temporaries cache-sized.  E is real, so the
+    chunk's real parts stacked over its imaginary parts go through one real
+    GEMM, not the complex one numpy would run on E promoted to complex, and
+    no square root is taken.  A lone row is two rows of that GEMM, so it
+    never takes numpy's one-row gemv path, whose bits differ from gemm's.
 
     The yielded array is one buffer, reused for every chunk: the caller may
     overwrite it but must not keep it.  Fresh 4 MB arrays per chunk came
@@ -149,16 +152,46 @@ def nodal_modulus_sq(A: np.ndarray, E: np.ndarray, rows: int | None = None):
     """
     step = 2**19 // E.shape[1] if rows is None else rows
     step = max(1, min(A.shape[0], step))
-    u2_buf = np.empty((step, E.shape[1]))
-    im_buf = np.empty_like(u2_buf)
+    parts_buf = np.empty((2 * step, A.shape[1]))
+    u2_buf = np.empty((2 * step, E.shape[1]))
     for lo in range(0, A.shape[0], step):
         a = A[lo : lo + step]
-        u2 = np.matmul(np.ascontiguousarray(a.real), E, out=u2_buf[: len(a)])
+        n = len(a)
+        parts = parts_buf[: 2 * n]
+        np.copyto(parts[:n], a.real)
+        np.copyto(parts[n:], a.imag)
+        u2 = np.matmul(parts, E, out=u2_buf[: 2 * n])
         u2 *= u2
-        im = np.matmul(np.ascontiguousarray(a.imag), E, out=im_buf[: len(a)])
-        im *= im
-        u2 += im
-        yield slice(lo, lo + step), u2
+        yield slice(lo, lo + step), np.add(u2[:n], u2[n:], out=u2[:n])
+
+
+def _reflected_transform(X: np.ndarray, M: int, sine: bool) -> np.ndarray:
+    """D^T X in long double, D the inverse DCT-I or DST-I on r_j = j/M.
+
+    D[k, j] = (2/M) cos(k pi j/M) for k = 0..M with rows 0 and M halved
+    (DCT-I), or (2/M) sin(k pi j/M) for k = 1..M - 1 (DST-I); the rows of
+    X run over the same k, and j = 1..M - 1.  Column M - j of D is column
+    j times (-1)^k (DCT-I) or (-1)^(k+1) (DST-I), so the even-k and the
+    odd-k rows of the first M/2 columns give every row of D^T X: half the
+    products of the full matmul, which for long double has no BLAS.
+    """
+    pi = np.arccos(np.longdouble(-1.0))
+    k = np.arange(1, M) if sine else np.arange(M + 1)
+    j = np.arange(1, M // 2 + 1)
+    # the angles are reduced mod 2 pi exactly, on the integers k j
+    angle = pi * ((k[:, None] * j) % (2 * M)) / M
+    D = (np.sin(angle) if sine else np.cos(angle)) * (2 / np.longdouble(M))
+    if not sine:
+        D[[0, M]] /= 2
+    even = k % 2 == 0
+    # numpy's long-double matmul runs its inner sum along a row of the left
+    # factor and a column of the right one: both are made contiguous there
+    E, O = (
+        np.ascontiguousarray(D[rows].T) @ np.asfortranarray(X[rows])
+        for rows in (even, ~even)
+    )
+    reflected = (O - E) if sine else (E - O)
+    return np.concatenate([E + O, reflected[: M - 1 - M // 2][::-1]])
 
 
 @functools.cache
@@ -173,27 +206,61 @@ def quartic_grid(N: int) -> tuple[np.ndarray, np.ndarray]:
     H0[k, l] = 2 pi [F(k + l) + F(|k - l|)], F as in _f_table, so
     H = D^T H0 D, (2N - 1)^2 values.
 
-    H is formed in long double and then rounded: formed in float64, its
-    rounding error grew with N, to 1.2e-13 relative in the quartic at
-    N = 256 against 8e-15 this way (platforms whose long double is float64
-    get the former).  Both arrays are read-only and shared by every caller.
+    H is formed in long double, by halves (_reflected_transform), and then
+    rounded: formed in float64, its rounding error grew with N, to 1.2e-13
+    relative in the quartic at N = 256 against 8e-15 this way (platforms
+    whose long double is float64 get the former).  Both arrays are
+    read-only and shared by every caller.
     """
     N = _check_index(N, "N")
     M = 2 * N
     n = np.arange(1, N + 1)[:, None]
     k = np.arange(M + 1)[:, None]
     j = np.arange(1, M)
-    # the angles are reduced mod 2 pi exactly, on the integers n j and k j
+    # the angles are reduced mod 2 pi exactly, on the integers n j
     S = np.sin(np.pi * ((n * j) % (2 * M)) / M)
     pi = np.arccos(np.longdouble(-1.0))
-    D = np.cos(pi * ((k * j) % (2 * M)) / M) * (2 / np.longdouble(M))
-    D[[0, M]] /= 2
     F = _f_table(2 * M).astype(np.longdouble)
     H0 = 2 * pi * (F[k + k.T] + F[abs(k - k.T)])
-    H = (D.T @ H0 @ D).astype(float)
+    # H^T = D^T (D^T H0)^T, two transforms by halves
+    H = _reflected_transform(_reflected_transform(H0, M, False).T, M, False)
+    H = H.T.astype(float, order="C")
     for arr in (S, H):
         arr.flags.writeable = False
     return S, H
+
+
+@functools.cache
+def cubic_grid(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(S, Q) with w = (|V|^2 V) @ Q exactly, V = a @ S, for cubic_term.
+
+    v(r) = r u(r) = sum a_n sin(n pi r), and w_n = 4 pi int_0^1 |u|^2 u
+    e_n r^2 dr = 4 pi int_0^1 |v|^2 v sin(n pi r) r^-2 dr.  |v|^2 v =
+    sum_{k <= 3N} h_k sin(k pi r) is fixed by its samples at r_j = j/M,
+    j = 1..M - 1 with M = 3N + 1 (DST-I, Martucci 1994): S[n-1, j-1] =
+    sin(n pi j/M), and h = D f.  Termwise, sin(k pi r) sin(n pi r) =
+    (cos((k - n) pi r) - cos((k + n) pi r))/2 gives w = h K3 with K3[k, n]
+    = 2 pi [F(|k - n|) - F(k + n)], F as in _f_table, so Q = D^T K3,
+    (3N, N).
+
+    Q is formed in long double and then rounded, as quartic_grid's H is:
+    formed in float64, w differed from the tensor contraction by up to
+    6.0e-14 of a row's largest coefficient over N <= 64, against 2.6e-14
+    this way.  Both arrays are read-only and shared by every caller.
+    """
+    N = _check_index(N, "N")
+    M = 3 * N + 1
+    n = np.arange(1, N + 1)
+    j = np.arange(1, M)
+    S = np.sin(np.pi * ((n[:, None] * j) % (2 * M)) / M)
+    pi = np.arccos(np.longdouble(-1.0))
+    k = np.arange(1, M)[:, None]
+    F = _f_table(M - 1 + N).astype(np.longdouble)
+    K3 = 2 * pi * (F[abs(k - n)] - F[k + n])
+    Q = _reflected_transform(K3, M, True).astype(float)
+    for arr in (S, Q):
+        arr.flags.writeable = False
+    return S, Q
 
 
 def trapezoid_weights(count: int, dt: float) -> np.ndarray:
@@ -371,8 +438,8 @@ class CorrelationTensor:
         """Real (m, m) matrix K[P, Q] = w_P c(p,q,n,c), m = N(N+1)/2.
 
         Rows P = (p <= q) and columns Q = (n <= c) run over the index pairs
-        of _pairs(N), which also gives the weights w.  cubic_term contracts
-        with it in one real GEMM.
+        of _pairs(N), which also gives the weights w.  quartic_form
+        contracts with it in one real GEMM.
         """
         N = int(N)
         if N > self.n_max:
@@ -447,70 +514,70 @@ class CubicBuffers:
     """cubic_term's work arrays for one (samples, N) batch shape.
 
     A caller that evaluates the cubic term of many same-shaped batches
-    passes one of these, so that no call allocates.
+    passes one of these, so that no call allocates: fresh arrays per call
+    came from newly mapped pages and made a buffer-less RK4 slower than
+    the tensor contraction it replaced.
     """
 
     def __init__(self, samples: int, N: int):
-        m = N * (N + 1) // 2
-        self.X, self.Y, self.WT = (np.empty((N, samples)) for _ in range(3))
-        self.R, self.T, self.G = (np.empty((m, samples)) for _ in range(3))
-        self.F = np.empty((N, N, samples))
+        self.parts = np.empty((2 * samples, N))
+        self.V, self.V2 = (np.empty((2 * samples, 3 * N)) for _ in range(2))
+        self.WW = np.empty((2 * samples, N))
         self.W = np.empty((samples, N), dtype=complex)
 
 
-def cubic_term(
-    A: np.ndarray, K: np.ndarray, buffers: CubicBuffers | None = None
-) -> np.ndarray:
+def cubic_term(A: np.ndarray, buffers: CubicBuffers | None = None) -> np.ndarray:
     """w_n = sum c(n,n1,n2,n3) a_n1 conj(a_n2) a_n3 for a (samples, N) batch.
 
-    K is ``CorrelationTensor.contraction_matrix(N)``.  c is symmetric in
-    (n1, n2), so only the symmetric part of a_n1 conj(a_n2) survives:
-    R_pq = Re(a_p conj(a_q)) = x_p x_q + y_p y_q, with a = x + i y.  Then
-    F(n, c) = sum_{p<=q} w_pq R_pq c(p,q,n,c) = (K^T R)[pair(n, c)] is real
-    and symmetric, and w_n = sum_c F(n, c) a_c: one real GEMM and two real
-    contractions.  Samples sit on the fast axis of every intermediate, so
-    the pair gathers copy long rows.
+    Exact up to rounding, on the 3N-sample grid of cubic_grid(N): the real
+    parts of A stacked over its imaginary parts give V = [Re; Im] (v at
+    r_j) in one real GEMM with S, both halves are scaled by |v|^2 = Re^2 +
+    Im^2, and one real GEMM with Q gives [Re w; Im w]: 12 N^2
+    multiply-adds per row and no tensor.  A lone row is two rows of each
+    GEMM, so it never takes numpy's one-row gemv path, whose bits differ
+    from gemm's.
 
     Every step writes into ``buffers`` (fresh ones when None), and the
     result is buffers.W, which the next call with them overwrites.
     """
     S, N = A.shape
-    iu, ju, pair, _ = _pairs(N)
+    grid, Q = cubic_grid(N)
     b = CubicBuffers(S, N) if buffers is None else buffers
-    X, Y, R, T, G = b.X, b.Y, b.R, b.T, b.G
-    np.copyto(X, A.real.T)
-    np.copyto(Y, A.imag.T)
-    # R = X[iu] X[ju] + Y[iu] Y[ju]; G is scratch until the GEMM fills it.
-    # The row gathers take mode "clip" (the indices are in range): "raise"
-    # first copies out.
-    np.multiply(X.take(iu, 0, R, "clip"), X.take(ju, 0, T, "clip"), out=R)
-    np.multiply(Y.take(iu, 0, T, "clip"), Y.take(ju, 0, G, "clip"), out=T)
-    R += T
-    np.matmul(K.T, R, out=G)
-    G.take(pair, 0, b.F, "clip")
-    b.W.real = np.einsum("ncs,cs->ns", b.F, X, out=b.WT).T
-    b.W.imag = np.einsum("ncs,cs->ns", b.F, Y, out=b.WT).T
+    V, V2 = b.V, b.V2
+    np.copyto(b.parts[:S], A.real)
+    np.copyto(b.parts[S:], A.imag)
+    np.matmul(b.parts, grid, out=V)
+    np.square(V, out=V2)
+    v2 = np.add(V2[:S], V2[S:], out=V2[:S])
+    V[:S] *= v2
+    V[S:] *= v2
+    np.matmul(V, Q, out=b.WW)
+    b.W.real = b.WW[:S]
+    b.W.imag = b.WW[S:]
     return b.W
 
 
 def quartic_form(
     coeffs: np.ndarray, tensor: CorrelationTensor
 ) -> float | np.ndarray:
-    """int_B |u|^4 dx = Re sum conj(a_n) w_n(a), by exact tensor contraction.
+    """int_B |u|^4 dx = sum c(n,n1,n2,n3) conj(a_n) a_n1 conj(a_n2) a_n3,
+    by exact tensor contraction.
 
-    A float for one coefficient vector, one value per row of a matrix.  Each
-    is real and non-negative up to a 1e-10 relative imaginary residue, which
-    is checked and discarded.
+    c is symmetric, so only R_pq = Re(a_p conj(a_q)) survives on either
+    pair of indices, and the sum is the quadratic form sum_{P,Q} R_P
+    K[P, Q] w_Q R_Q in the pair-packed K = contraction_matrix(N) (pairs
+    and weights of _pairs): one GEMM, independent of the grid kernels it
+    is an oracle for.  A float for one coefficient vector, one value per
+    row of a matrix, clipped at 0 against rounding.
     """
     a = np.asarray(coeffs, dtype=complex)
     A = np.atleast_2d(a)
-    W = cubic_term(A, tensor.contraction_matrix(A.shape[1]))
-    q = np.einsum("sn,sn->s", np.conj(A), W)
-    bad = np.abs(q.imag) > 1e-10 * np.maximum(np.abs(q), 1.0)
-    if bad.any():
-        residue = q.imag[np.argmax(bad)]
-        raise FloatingPointError(f"quartic form has imaginary residue {residue:.3e}")
-    out = np.maximum(q.real, 0.0)
+    N = A.shape[1]
+    iu, ju, _, w = _pairs(N)
+    x, y = A.real, A.imag
+    R = x[:, iu] * x[:, ju] + y[:, iu] * y[:, ju]
+    q = np.einsum("sp,sp->s", R @ tensor.contraction_matrix(N), w * R)
+    out = np.maximum(q, 0.0)
     return float(out[0]) if a.ndim == 1 else out
 
 

@@ -23,7 +23,6 @@ import numpy as np
 from . import io as pio
 from .basis import build_tensor, quartic_form, rule_for_modes
 from .dynamics import (
-    REFERENCE_N_ADVISORY,
     IntegratorConfig,
     Trajectory,
     default_dt,
@@ -357,15 +356,11 @@ def _cmd_evolve(cfg: dict) -> int:
         dt_record=cfg["dt_record"],
         coupling=cfg["coupling"],
     )
-    tensor, tensor_hash = None, None
+    tensor_hash = None
     if method == "reference_rk4":
-        if N > REFERENCE_N_ADVISORY:
-            print(
-                f"warning: reference integrator above the advisory limit "
-                f"N={REFERENCE_N_ADVISORY}; expect slow stepping",
-                file=sys.stderr,
-            )
-        tensor, tensor_hash = _load_or_build_tensor(N)
+        # the integrator needs no tensor; the cache is kept, and checked,
+        # for the manifest's tensor_cache_hash
+        _, tensor_hash = _load_or_build_tensor(N)
     spec = FreeMeasureSpec.from_preset(cfg["preset"], N)
     rng = RngStream(seed=cfg["seed"])
     if cfg["measure"] == "free":
@@ -375,7 +370,7 @@ def _cmd_evolve(cfg: dict) -> int:
     else:
         raise UsageError(f"unknown measure {cfg['measure']!r}")
     try:
-        traj = evolve(state, cfg["t_end"], config, tensor=tensor)
+        traj = evolve(state, cfg["t_end"], config)
     except BlowUpError as err:
         if err.partial_trajectory is not None:
             times, records = err.partial_trajectory

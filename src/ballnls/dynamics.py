@@ -11,11 +11,12 @@ ball is t_phys = (2/pi) t_model; the two are never mixed.
 Two integrators:
 
 * ``reference_rk4`` -- classical RK4 applied in the rotating (interaction)
-  frame b_n = a_n e(n^2 t), with exact tensor contraction for G (the
-  caller's tensor, or build_tensor(N) when it passes none).  The
-  linear phases are exact, so mass/energy drift comes only from the RK4
-  error on the (small) nonlinear term; plain RK4 on the stiff full ODE
-  cannot meet the conservation budget at the default step size.
+  frame b_n = a_n e(n^2 t) (Lawson RK4), with G exact up to rounding:
+  basis.cubic_term on the 3N-sample sine grid, O(N^2) per row, no
+  correlation tensor.  The linear phases are exact, so mass/energy drift
+  comes only from the RK4 error on the (small) nonlinear term; plain RK4
+  on the stiff full ODE cannot meet the conservation budget at the
+  default step size.
 * ``collocation_split`` -- Strang splitting: exact half linear phase,
   pointwise nonlinear rotation u -> u exp(-i coupling |u|^2 dt) on
   quadrature nodes followed by projection, exact half linear phase.
@@ -31,7 +32,6 @@ import numpy as np
 from .basis import (
     CorrelationTensor,
     CubicBuffers,
-    build_tensor,
     cubic_term,
     eval_matrix,
     rule_for_modes,
@@ -51,7 +51,6 @@ __all__ = [
     "conserved_quantities",
 ]
 
-REFERENCE_N_ADVISORY = 32
 TRILINEAR_SCALE = 1.0 / (2.0 * np.pi)  # ||e_n||_2^{-2}
 
 
@@ -179,14 +178,11 @@ def _collocation_ops(N: int):
     return eval_matrix(N, rule.nodes), P
 
 
-def nonlinear_coefficient(
-    state: RadialState, n: int, tensor: CorrelationTensor
-) -> complex:
+def nonlinear_coefficient(state: RadialState, n: int) -> complex:
     """G_n(a), the mode-n coefficient of P_N(|u|^2 u) / ||e_n||^2."""
     if not (1 <= n <= state.N):
         raise DomainError(f"n must be in [1, {state.N}]")
-    K = tensor.contraction_matrix(state.N)
-    return complex(TRILINEAR_SCALE * cubic_term(state.coeffs[None, :], K)[0, n - 1])
+    return complex(TRILINEAR_SCALE * cubic_term(state.coeffs[None, :])[0, n - 1])
 
 
 class _RK4Buffers:
@@ -199,7 +195,7 @@ class _RK4Buffers:
         )
 
 
-def _rk4_batch(A, t, dt, K, nsq, coupling, buf):
+def _rk4_batch(A, t, dt, nsq, coupling, buf):
     """One rotating-frame RK4 step for a (samples, N) batch at time t.
 
     The step is
@@ -220,7 +216,7 @@ def _rk4_batch(A, t, dt, K, nsq, coupling, buf):
 
     def k(src, tau, out):
         ph = np.exp(2j * np.pi * nsq * tau)
-        W = cubic_term(np.divide(src, ph, out=Z), K, buf.cubic)
+        W = cubic_term(np.divide(src, ph, out=Z), buf.cubic)
         np.multiply(TRILINEAR_SCALE, W, out=W)
         return np.multiply(-1j * coupling * ph, W, out=out)
 
@@ -250,9 +246,7 @@ def _strang_batch(A, dt, E, P, nsq, coupling):
     return A * half
 
 
-def _stepper(
-    shape: tuple[int, int], config: IntegratorConfig, tensor: CorrelationTensor | None
-):
+def _stepper(shape: tuple[int, int], config: IntegratorConfig):
     """stepper(A, t): one step of config.method for a batch of this shape.
 
     The RK4 stepper owns its buffers, and its result is one of them.
@@ -260,9 +254,8 @@ def _stepper(
     S, N = shape
     nsq = np.arange(1, N + 1, dtype=float) ** 2
     if config.method == "reference_rk4":
-        K = (tensor if tensor is not None else build_tensor(N)).contraction_matrix(N)
         buf = _RK4Buffers(S, N)
-        return lambda A, t: _rk4_batch(A, t, config.dt, K, nsq, config.coupling, buf)
+        return lambda A, t: _rk4_batch(A, t, config.dt, nsq, config.coupling, buf)
     E, P = _collocation_ops(N)
     return lambda A, t: _strang_batch(A, config.dt, E, P, nsq, config.coupling)
 
@@ -294,31 +287,34 @@ def _check_record(A: np.ndarray, mass_prev: np.ndarray, t: float) -> np.ndarray:
     return mass_now
 
 
-def _step(
-    state: RadialState, config: IntegratorConfig, tensor: CorrelationTensor | None
-) -> RadialState:
+def _step(state: RadialState, config: IntegratorConfig) -> RadialState:
     """One step from state, checked like an evolve_batch record."""
     A = state.coeffs[None, :]
-    stepped = _stepper(A.shape, config, tensor)(A, state.time)
+    stepped = _stepper(A.shape, config)(A, state.time)
     time = state.time + config.dt
     _check_record(stepped, _mass(A), time)
     return RadialState(N=state.N, coeffs=stepped[0], time=time)
 
 
 def step_reference(
-    state: RadialState, config: IntegratorConfig, tensor: CorrelationTensor
+    state: RadialState,
+    config: IntegratorConfig,
+    tensor: CorrelationTensor | None = None,
 ) -> RadialState:
-    """One RK4 step of the coefficient ODE (rotating frame, exact tensor)."""
+    """One RK4 step of the coefficient ODE (rotating frame, exact grid G).
+
+    ``tensor`` is accepted and ignored: the step needs no tensor.
+    """
     if config.method != "reference_rk4":
         raise DomainError("config.method must be reference_rk4")
-    return _step(state, config, tensor)
+    return _step(state, config)
 
 
 def step_collocation(state: RadialState, config: IntegratorConfig) -> RadialState:
     """One Strang splitting step (exact phases + pointwise nonlinear gauge)."""
     if config.method != "collocation_split":
         raise DomainError("config.method must be collocation_split")
-    return _step(state, config, None)
+    return _step(state, config)
 
 
 def conserved_quantities(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -347,13 +343,12 @@ def evolve(
 
     Mass and energy are logged per recorded state, the same way for both
     integrators (conserved_quantities).  Blow-up raises BlowUpError
-    carrying the partial trajectory.
+    carrying the partial trajectory.  ``tensor`` is accepted and ignored,
+    as by evolve_batch.
     """
     if t_end < state.time:
         raise DomainError("t_end must be >= state.time")
-    times, records = evolve_batch(
-        state.coeffs[None, :], state.time, t_end, config, tensor=tensor
-    )
+    times, records = evolve_batch(state.coeffs[None, :], state.time, t_end, config)
     coeffs = records[:, 0, :]
     return Trajectory(times, coeffs, *conserved_quantities(coeffs))
 
@@ -370,8 +365,9 @@ def evolve_batch(
     The workhorse behind evolve() and the experiment drivers; a single
     trajectory is the samples=1 case.  Recording happens every
     round(dt_record/dt) steps, always including both endpoints, into one
-    array allocated up front.  The reference integrator builds its own
-    tensor when none is passed.
+    array allocated up front.  ``tensor`` is accepted and ignored: the
+    reference integrator's cubic term needs no tensor, and the results are
+    the same bits with or without one.
     """
     A = np.asarray(coeffs, dtype=complex)
     S, N = A.shape
@@ -391,7 +387,7 @@ def evolve_batch(
         if abs(rec_every * config.dt - config.dt_record) > 1e-9 * config.dt_record:
             raise DomainError("dt_record must be an integer multiple of dt")
 
-    stepper = _stepper(A.shape, config, tensor)
+    stepper = _stepper(A.shape, config)
 
     # t0, every rec_every-th step, and the last step
     count = 1 + -(-steps // rec_every)

@@ -290,11 +290,16 @@ def _quartic_batch(coeffs: np.ndarray) -> np.ndarray:
     """
     S, H = quartic_grid(coeffs.shape[1])
     out = np.empty(coeffs.shape[0])
-    hs_buf = np.empty((min(len(coeffs), _QUARTIC_ROWS), H.shape[0]))
+    hs_buf = np.empty((max(2, min(len(coeffs), _QUARTIC_ROWS)), H.shape[0]))
     for rows, s in nodal_modulus_sq(coeffs, S, _QUARTIC_ROWS):
+        n = len(s)
+        if n == 1:
+            # a one-row matmul takes numpy's gemv path, whose bits differ
+            # from the gemm the row gets inside a batch
+            s = np.repeat(s, 2, axis=0)
         hs = np.matmul(s, H, out=hs_buf[: len(s)])
         hs *= s
-        hs.sum(axis=1, out=out[rows])
+        hs[:n].sum(axis=1, out=out[rows])
     return out
 
 

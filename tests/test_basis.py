@@ -19,6 +19,7 @@ from ballnls.basis import (
     correlation,
     correlation_quadrature,
     count_circle_representations,
+    cubic_grid,
     cubic_term,
     eigenfunction_lp_norm,
     eigenfunction_value,
@@ -33,6 +34,7 @@ from ballnls.basis import (
 )
 from ballnls.errors import DomainError, ResolutionError
 from ballnls.experiments import observable_table
+from ballnls.measures import FreeMeasureSpec, RngStream, sample_free_batch
 
 
 class TestQuadrature:
@@ -268,14 +270,14 @@ class TestCubicTerm:
     def test_matches_dense_einsum(self, tensor12, N, S, amp, seed):
         gen = np.random.default_rng(seed)
         A = amp * (gen.standard_normal((S, N)) + 1j * gen.standard_normal((S, N)))
-        W = cubic_term(A, tensor12.contraction_matrix(N))
+        W = cubic_term(A)
         ref = np.einsum("abcd,sb,sc,sd->sa", tensor12.dense(N), A, A.conj(), A)
         np.testing.assert_allclose(
             W, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max()
         )
         per_row = np.array([quartic_form(a, tensor12) for a in A])
         for a, q in zip(A, per_row):
-            w = cubic_term(a[None, :], tensor12.contraction_matrix(N))[0]
+            w = cubic_term(a[None, :])[0]
             assert q == pytest.approx(np.real(np.conj(a) @ w), rel=1e-12)
         np.testing.assert_allclose(
             observable_table(A)["l4_norm_fourth"], per_row, rtol=1e-12
@@ -283,7 +285,8 @@ class TestCubicTerm:
 
 
 class TestCubicTermOracle:
-    """cubic_term against a tensor filled entry by entry, not from K."""
+    """cubic_term against a tensor filled entry by entry, and against the
+    physical-space projection of |u|^2 u."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -302,18 +305,75 @@ class TestCubicTermOracle:
         wide = gen.standard_normal((S, N + 2)) + 1j * gen.standard_normal((S, N + 2))
         # a column slice of a wider array, so never C-contiguous
         A = wide[:, offset : offset + N]
-        W = cubic_term(A, tensor12.contraction_matrix(N))
+        W = cubic_term(A)
         ref = np.einsum("abcd,sb,sc,sd->sa", C, A, A.conj(), A)
         assert W.shape == (S, N) and W.dtype == complex
         assert W.flags.c_contiguous
         # reused buffers give the same bits, whatever they held before
         buffers = CubicBuffers(S, N)
-        cubic_term(wide[:, :N][::-1], tensor12.contraction_matrix(N), buffers)
-        again = cubic_term(A, tensor12.contraction_matrix(N), buffers)
+        cubic_term(wide[:, :N][::-1], buffers)
+        again = cubic_term(A, buffers)
         assert np.array_equal(again, W)
         np.testing.assert_allclose(
             W, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max()
         )
+
+    def test_matches_physical_space_projection(self):
+        # w_n = 4 pi int_0^1 |u|^2 u e_n r^2 dr by Gauss-Legendre on
+        # rule_for_modes(4 N): |u|^2 u e_n carries frequencies up to 4N
+        N = 256
+        rule = rule_for_modes(4 * N)
+        E = eval_matrix(N, rule.nodes)
+        A = sample_free_batch(FreeMeasureSpec.derived(N), RngStream(seed=11), 4)
+        # a single top mode: sin^3(N pi r), the highest grid frequency 3N
+        A[-1] = 0.0
+        A[-1, -1] = 0.7 - 0.4j
+        U = A @ E
+        ref = 4.0 * np.pi * (np.abs(U) ** 2 * U * rule.weights * rule.nodes**2) @ E.T
+        W = cubic_term(A)
+        for w, r in zip(W, ref):
+            np.testing.assert_allclose(w, r, rtol=0, atol=1e-12 * np.abs(r).max())
+        # the top mode's own coefficient is c(N,N,N,N)|a_N|^2 a_N, with
+        # c > 0: a sign error in the grid forms would flip it
+        c = correlation(N, N, N, N)
+        assert c > 0
+        assert W[-1, -1] == pytest.approx(c * abs(A[-1, -1]) ** 2 * A[-1, -1], rel=1e-12)
+
+
+class TestCubicTermBatches:
+    @pytest.mark.parametrize("N", [1, 8, 32, 64])
+    def test_row_alone_equals_its_batch_value(self, N):
+        gen = np.random.default_rng(N)
+        A = gen.standard_normal((37, N)) + 1j * gen.standard_normal((37, N))
+        W = cubic_term(A).copy()
+        for k, a in enumerate(A):
+            assert np.array_equal(cubic_term(a[None, :])[0], W[k]), k
+
+    def test_buffers_reused_without_allocation(self):
+        S, N = 500, 16
+        gen = np.random.default_rng(3)
+        A = gen.standard_normal((S, N)) + 1j * gen.standard_normal((S, N))
+        buffers = CubicBuffers(S, N)
+        first = cubic_term(A, buffers).copy()
+        tracemalloc.start()
+        try:
+            W = cubic_term(A, buffers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert W is buffers.W
+        assert np.array_equal(W, first)
+        # views and scalars only: one (S, 3N) float array alone is 192 kB
+        assert peak < 4096
+
+    def test_grid_arrays_read_only_and_shared(self):
+        S, Q = cubic_grid(8)
+        assert (S.shape, Q.shape) == ((8, 24), (24, 8))
+        assert cubic_grid(8)[1] is Q
+        with pytest.raises(ValueError):
+            Q[0, 0] = 1.0
+        with pytest.raises(DomainError):
+            cubic_grid(0)
 
 
 class TestCircleCounts:

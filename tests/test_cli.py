@@ -123,14 +123,6 @@ class TestEvolve:
         traj = pio.read_trajectory(out)
         assert len(traj.states) == 1
 
-    def test_reference_advisory_warning(self, tmp_path, capsys):
-        out = tmp_path / "big.traj"
-        assert run(
-            "evolve", "--n", 40, "--t-end", 0.001, "--dt", 1e-3,
-            "--dt-record", 0.001, "--integrator", "reference", "--out", out,
-        ) == 0
-        assert "advisory" in capsys.readouterr().err
-
     def test_blow_up_saves_partial_trajectory(self, tmp_path, capsys):
         out = tmp_path / "hot.traj"
         assert run(

@@ -137,7 +137,7 @@ class TestNonlinearCoefficient:
         coeffs = np.zeros(8, dtype=complex)
         coeffs[0] = 0.5 + 0.2j
         state = RadialState(N=8, coeffs=coeffs, time=0.0)
-        g1 = nonlinear_coefficient(state, 1, tensor)
+        g1 = nonlinear_coefficient(state, 1)
         expected = (
             tensor.value(1, 1, 1, 1) * abs(coeffs[0]) ** 2 * coeffs[0] / (2 * np.pi)
         )
@@ -172,25 +172,31 @@ class TestEvolveBookkeeping:
         assert np.allclose(records[:, 0, :], traj.coeffs)
         assert len(times) == len(traj.states)
 
-    def test_rk4_builds_its_own_tensor(self, tensor):
-        A = np.stack([small_state(seed=1).coeffs, small_state(seed=2).coeffs])
+    def test_tensor_keyword_is_ignored(self, tensor):
+        # the reference integrator needs no tensor; passing one changes no bit
+        state = small_state(seed=1)
         cfg = IntegratorConfig(method="reference_rk4", dt=1e-3, dt_record=2e-3)
-        times, records = evolve_batch(A, 0.0, 0.01, cfg)
-        times_t, records_t = evolve_batch(A, 0.0, 0.01, cfg, tensor=tensor)
-        assert np.array_equal(times, times_t)
+        plain = evolve(state, 0.01, cfg)
+        given = evolve(state, 0.01, cfg, tensor=tensor)
+        for field in ("times", "coeffs", "mass_log", "energy_log"):
+            assert np.array_equal(getattr(plain, field), getattr(given, field))
+        A = np.stack([state.coeffs, small_state(seed=2).coeffs])
+        _, records = evolve_batch(A, 0.0, 0.01, cfg)
+        _, records_t = evolve_batch(A, 0.0, 0.01, cfg, tensor=tensor)
         assert np.array_equal(records, records_t)
+        step = step_reference(state, cfg)
+        assert np.array_equal(step.coeffs, step_reference(state, cfg, tensor).coeffs)
 
-    def test_rk4_steps_match_plain_arithmetic(self, tensor):
+    def test_rk4_steps_match_plain_arithmetic(self):
         # The buffered step takes every product and sum of this plain one,
         # in the same order, so the bits agree.  Runs of different batch
         # sizes in one process each start from their own buffers.
-        K = tensor.contraction_matrix(8)
         nsq = np.arange(1, 9, dtype=float) ** 2
         dt, coupling, steps = 1e-3, 1.5, 4
 
         def rhs(B, tau):
             ph = np.exp(2j * np.pi * nsq * tau)
-            return -1j * coupling * ph * (TRILINEAR_SCALE * cubic_term(B / ph, K))
+            return -1j * coupling * ph * (TRILINEAR_SCALE * cubic_term(B / ph))
 
         def plain(A):
             out = [A]
@@ -210,7 +216,7 @@ class TestEvolveBookkeeping:
         for count in (37, 5, 37):
             A = np.stack([small_state(seed=k).coeffs for k in range(count)])
             before = A.copy()
-            _, records = evolve_batch(A, 0.0, steps * dt, cfg, tensor=tensor)
+            _, records = evolve_batch(A, 0.0, steps * dt, cfg)
             assert np.array_equal(records.view(float), plain(A).view(float)), count
             assert np.array_equal(A, before)
 

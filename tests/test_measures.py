@@ -170,14 +170,22 @@ class TestQuarticBatch:
         assert _quartic_batch(A) == pytest.approx(expected, rel=1e-12)
 
     def test_chunk_boundaries_do_not_change_rows(self):
-        # Every chunk here has two rows or more: numpy sends a one-row
-        # product to BLAS gemv, whose last bit may differ from gemm's.
+        # lo = 4 leaves a one-row last chunk, which still goes through gemm
         A = sample_free_batch(
             FreeMeasureSpec.derived(8), RngStream(seed=8), 2 * _QUARTIC_ROWS + 5
         )
         got = _quartic_batch(A)
-        for lo in (1, 2, _QUARTIC_ROWS - 1, _QUARTIC_ROWS, _QUARTIC_ROWS + 3):
+        for lo in (1, 2, 4, _QUARTIC_ROWS - 1, _QUARTIC_ROWS, _QUARTIC_ROWS + 3):
             assert np.array_equal(got[lo:], _quartic_batch(A[lo:])), lo
+
+    @pytest.mark.parametrize("N", [1, 8, 64])
+    def test_row_alone_equals_its_batch_value(self, N):
+        # numpy sends a one-row product to BLAS gemv, whose last bit differs
+        # from gemm's; a lone row must still get its batch bits
+        A = sample_free_batch(FreeMeasureSpec.derived(N), RngStream(seed=10), 41)
+        got = _quartic_batch(A)
+        for k, a in enumerate(A):
+            assert _quartic_batch(a[None, :])[0] == got[k], k
 
     def test_no_modes_rejected(self):
         with pytest.raises(DomainError):
