@@ -25,12 +25,14 @@ from .basis import build_tensor, quartic_form, rule_for_modes
 from .dynamics import (
     IntegratorConfig,
     Trajectory,
+    _step_counts,
     default_dt,
     evolve,
 )
 from .errors import (
     BallNlsError,
     BlowUpError,
+    DomainError,
     RuntimeFailure,
     StorageError,
     UsageError,
@@ -105,7 +107,8 @@ _OPTIONS = {
     "evolve": [
         ("n", _INT, None, "mode truncation (required)"),
         ("t_end", _FLOAT, None, "final model time (required)"),
-        ("dt", _FLOAT, None, "time step (default: stability heuristic)"),
+        ("dt", _FLOAT, None, "time step (default: min(1e-3, 0.1/(2 pi N^2)), "
+         "or the largest whole fraction of dt_record, else t_end, below it)"),
         ("dt_record", _FLOAT, None, "recording interval"),
         ("integrator", _STR, "reference", "reference | collocation"),
         ("seed", _INT, 0, "master seed"),
@@ -300,6 +303,9 @@ def _write_side_manifest(out_path, command, cfg, tensor_hash=None):
 
 
 def _cmd_tensor_build(cfg: dict) -> int:
+    """Write the cache file, then check what reads back: the digest shows
+    only that the file is intact, so its quartic of a probe state must also
+    match the grid quartic, which never reads the tensor."""
     _require(cfg, "tensor-build", "n_max")
     tensor = build_tensor(cfg["n_max"])
     out = cfg["out"]
@@ -307,48 +313,38 @@ def _cmd_tensor_build(cfg: dict) -> int:
         pio.cache_dir().mkdir(parents=True, exist_ok=True)
         out = pio.default_cache_path(cfg["n_max"])
         cfg = dict(cfg, out=str(out))
-    digest = pio.write_tensor_cache(tensor, out)
-    _write_side_manifest(out, "tensor-build", cfg, digest)
-    print(f"wrote {out} ({len(tensor.values)} values, sha256 {digest[:16]}...)")
-    return EXIT_OK
-
-
-def _check_cached_tensor(tensor, n: int, path) -> None:
-    """The cached tensor's quartic of a probe state must match the grid's.
-
-    The digest shows only that the file is intact, not that its entries are
-    the correlation coefficients of this code; the grid quartic
-    (measures.quartic_norm_quadrature), which never reads the tensor, is
-    an independent oracle for them.
-    """
+    pio.write_tensor_cache(tensor, out)
+    tensor, digest = pio.read_tensor_cache(out)
+    n = tensor.n_max
     probe = np.exp(1j * np.arange(n)) / np.arange(1, n + 1)
     exact = quartic_form(probe, tensor)
     grid = quartic_norm_quadrature(probe)
     if not abs(exact - grid) <= 1e-10 * grid:
         raise StorageError(
-            f"{path}: tensor quartic {exact:.17g} of a probe state disagrees "
+            f"{out}: tensor quartic {exact:.17g} of a probe state disagrees "
             f"with the grid quartic {grid:.17g}"
         )
-
-
-def _load_or_build_tensor(n: int):
-    path = pio.default_cache_path(n)
-    if Path(path).exists():
-        tensor, digest = pio.read_tensor_cache(path)
-        if tensor.n_max >= n:
-            _check_cached_tensor(tensor, n, path)
-            return tensor, digest
-    tensor = build_tensor(n)
-    pio.cache_dir().mkdir(parents=True, exist_ok=True)
-    digest = pio.write_tensor_cache(tensor, path)
-    return tensor, digest
+    _write_side_manifest(out, "tensor-build", cfg, digest)
+    print(f"wrote {out} ({len(tensor.values)} values, sha256 {digest[:16]}...)")
+    return EXIT_OK
 
 
 def _cmd_evolve(cfg: dict) -> int:
     _require(cfg, "evolve", "n", "t_end", "out")
     N = cfg["n"]
     method = _integrator_method(cfg["integrator"])
-    dt = cfg["dt"] if cfg["dt"] is not None else default_dt(N)
+    dt = cfg["dt"]
+    if dt is None:
+        # default_dt(N) if it divides the span and dt_record; if not, the
+        # unit (dt_record, else t_end) split into the fewest steps of at
+        # most default_dt(N)
+        dt = default_dt(N)
+        unit = cfg["t_end"] if cfg["dt_record"] is None else cfg["dt_record"]
+        try:
+            _step_counts(cfg["t_end"], dt, cfg["dt_record"])
+        except DomainError:
+            if 0 < unit / dt < math.inf:
+                dt = unit / math.ceil(unit / dt)
     cfg = dict(cfg, dt=dt)
     config = IntegratorConfig(
         method=method,
@@ -356,11 +352,6 @@ def _cmd_evolve(cfg: dict) -> int:
         dt_record=cfg["dt_record"],
         coupling=cfg["coupling"],
     )
-    tensor_hash = None
-    if method == "reference_rk4":
-        # the integrator needs no tensor; the cache is kept, and checked,
-        # for the manifest's tensor_cache_hash
-        _, tensor_hash = _load_or_build_tensor(N)
     spec = FreeMeasureSpec.from_preset(cfg["preset"], N)
     rng = RngStream(seed=cfg["seed"])
     if cfg["measure"] == "free":
@@ -382,7 +373,7 @@ def _cmd_evolve(cfg: dict) -> int:
             )
         raise
     pio.write_trajectory(traj, cfg["out"])
-    _write_side_manifest(cfg["out"], "evolve", cfg, tensor_hash)
+    _write_side_manifest(cfg["out"], "evolve", cfg)
     print(f"wrote {cfg['out']} ({len(traj.times)} records, N={N})")
     return EXIT_OK
 

@@ -353,6 +353,26 @@ def evolve(
     return Trajectory(times, coeffs, *conserved_quantities(coeffs))
 
 
+def _step_counts(span: float, dt: float, dt_record: float | None) -> tuple[int, int]:
+    """(steps, steps per record) of a span; DomainError unless the span is
+    finite, not negative and a whole number of steps, and dt_record (when
+    given) a whole number of steps too."""
+    if span < 0:
+        raise DomainError("t_end must be >= t0")
+    if not np.isfinite(span):
+        raise DomainError("(t_end - t0) must be finite")
+    steps = int(round(span / dt))
+    # a span shorter than dt/2 rounds to no step at all, so it is checked too
+    if span > 0 and not abs(steps * dt - span) <= 1e-9 * max(span, dt):
+        raise DomainError("(t_end - t0) must be an integer multiple of dt")
+    if dt_record is None:
+        return steps, max(1, steps // 1024)
+    rec_every = max(1, int(round(dt_record / dt)))
+    if abs(rec_every * dt - dt_record) > 1e-9 * dt_record:
+        raise DomainError("dt_record must be an integer multiple of dt")
+    return steps, rec_every
+
+
 def evolve_batch(
     coeffs: np.ndarray,
     t0: float,
@@ -371,22 +391,7 @@ def evolve_batch(
     """
     A = np.asarray(coeffs, dtype=complex)
     S, N = A.shape
-    span = t_end - t0
-    if span < 0:
-        raise DomainError("t_end must be >= t0")
-    if not np.isfinite(span):
-        raise DomainError("(t_end - t0) must be finite")
-    steps = int(round(span / config.dt))
-    # a span shorter than dt/2 rounds to no step at all, so it is checked too
-    if span > 0 and not abs(steps * config.dt - span) <= 1e-9 * max(span, config.dt):
-        raise DomainError("(t_end - t0) must be an integer multiple of dt")
-    if config.dt_record is None:
-        rec_every = max(1, steps // 1024)
-    else:
-        rec_every = max(1, int(round(config.dt_record / config.dt)))
-        if abs(rec_every * config.dt - config.dt_record) > 1e-9 * config.dt_record:
-            raise DomainError("dt_record must be an integer multiple of dt")
-
+    steps, rec_every = _step_counts(t_end - t0, config.dt, config.dt_record)
     stepper = _stepper(A.shape, config)
 
     # t0, every rec_every-th step, and the last step

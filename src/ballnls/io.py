@@ -2,8 +2,8 @@
 
 Binary layouts are little-endian IEEE-754 throughout; every file is
 written to a temporary sibling and atomically renamed into place.  The
-tensor cache carries a trailing SHA-256 digest that is verified on every
-load — a corrupted cache is a hard error, never a silent recompute.
+tensor cache, which only tensor-build writes and reads back, ends in a
+SHA-256 digest that every read verifies: a corrupted file is an error.
 
 Tensor cache layout (offsets in bytes):
     0   magic "BBNLS3D1"

@@ -15,6 +15,7 @@ import ballnls.cli
 from ballnls import experiments
 from ballnls import io as pio
 from ballnls.cli import _OPTIONS, main
+from ballnls.dynamics import default_dt
 from ballnls.measures import FreeMeasureSpec
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -65,18 +66,20 @@ class TestTensorBuild:
         with pytest.raises(Exception):
             pio.read_tensor_cache(out)
 
-    def test_wrong_cached_entries_exit_3(self, tmp_path, capsys):
-        # an intact file whose entries are not the correlation coefficients
-        tensor = ballnls.cli.build_tensor(4)
-        wrong = dataclasses.replace(tensor, values=1.5 * tensor.values)
-        pio.cache_dir().mkdir(parents=True)
-        pio.write_tensor_cache(wrong, pio.default_cache_path(4))
-        assert run(
-            "evolve", "--n", 4, "--t-end", 0.01, "--dt", 1e-3,
-            "--integrator", "reference", "--out", tmp_path / "a.traj",
-        ) == 3
+    def test_wrong_cached_entries_exit_3(self, tmp_path, monkeypatch, capsys):
+        # an intact file whose entries are not the correlation coefficients:
+        # tensor-build reads back what it wrote and checks it
+        build = ballnls.cli.build_tensor
+
+        def wrong(n):
+            tensor = build(n)
+            return dataclasses.replace(tensor, values=1.5 * tensor.values)
+
+        monkeypatch.setattr(ballnls.cli, "build_tensor", wrong)
+        out = tmp_path / "tensor.bin"
+        assert run("tensor-build", "--n-max", 4, "--out", out) == 3
         assert "disagrees with the grid quartic" in capsys.readouterr().err
-        assert not (tmp_path / "a.traj").exists()
+        assert not Path(str(out) + ".manifest.json").exists()
 
     def test_quad_order_option_removed(self, tmp_path):
         with pytest.raises(SystemExit) as info:
@@ -84,22 +87,23 @@ class TestTensorBuild:
         assert info.value.code == 2
 
     def test_recorded_hash_is_file_sha256(self, tmp_path):
-        # one cache file, one hash: whether the evolve built the cache or
-        # read it, the manifest records what sha256sum prints for it
+        # tensor-build records what sha256sum prints for the file it wrote,
+        # at --out or in the cache directory; an evolve records no hash
         built = tmp_path / "tensor.bin"
         assert run("tensor-build", "--n-max", 4, "--out", built) == 0
-        runs = [(built, built)]
-        for name in ("miss", "hit"):
-            out = tmp_path / f"{name}.traj"
-            assert run(
-                "evolve", "--n", 4, "--t-end", 0.002, "--dt", 1e-3,
-                "--integrator", "reference", "--out", out,
-            ) == 0
-            runs.append((out, pio.default_cache_path(4)))
-        for out, cache in runs:
-            manifest = pio.read_manifest(str(out) + ".manifest.json")
+        assert run("tensor-build", "--n-max", 3) == 0
+        for cache in (built, pio.default_cache_path(3)):
+            manifest = pio.read_manifest(str(cache) + ".manifest.json")
             digest = hashlib.sha256(Path(cache).read_bytes()).hexdigest()
-            assert manifest["tensor_cache_hash"] == digest, out
+            assert manifest["tensor_cache_hash"] == digest, cache
+        for integrator in ("reference", "collocation"):
+            out = tmp_path / f"{integrator}.traj"
+            assert run(
+                "evolve", "--n", 3, "--t-end", 0.002, "--dt", 1e-3,
+                "--integrator", integrator, "--out", out,
+            ) == 0
+            manifest = pio.read_manifest(str(out) + ".manifest.json")
+            assert manifest["tensor_cache_hash"] is None, integrator
 
 
 class TestEvolve:
@@ -113,6 +117,70 @@ class TestEvolve:
         assert run(*args, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.traj.manifest.json").exists()
+
+    def test_reference_evolve_touches_no_tensor(self, tmp_path, monkeypatch):
+        # the RK4 needs no tensor; at N = 128 building one peaked near 2.9 GB
+        def refuse(*args, **kwargs):
+            raise AssertionError("evolve touched the correlation tensor")
+
+        monkeypatch.setattr(ballnls.cli, "build_tensor", refuse)
+        monkeypatch.setattr(pio, "read_tensor_cache", refuse)
+        monkeypatch.setattr(pio, "write_tensor_cache", refuse)
+        out = tmp_path / "wide.traj"
+        assert run(
+            "evolve", "--n", 128, "--t-end", 2.0**-17, "--dt", 2.0**-18,
+            "--integrator", "reference", "--out", out,
+        ) == 0
+        assert len(pio.read_trajectory(out).times) == 3
+        assert not pio.cache_dir().exists()
+
+    def test_wrong_cache_file_ignored(self, tmp_path):
+        # a cache file whose entries are wrong changes no evolve
+        args = (
+            "evolve", "--n", 4, "--t-end", 0.01, "--dt", 1e-3,
+            "--integrator", "reference", "--seed", 3,
+        )
+        assert run(*args, "--out", tmp_path / "clean.traj") == 0
+        tensor = ballnls.cli.build_tensor(4)
+        pio.cache_dir().mkdir(parents=True, exist_ok=True)
+        pio.write_tensor_cache(
+            dataclasses.replace(tensor, values=1.5 * tensor.values),
+            pio.default_cache_path(4),
+        )
+        assert run(*args, "--out", tmp_path / "wrong.traj") == 0
+        clean = (tmp_path / "clean.traj").read_bytes()
+        assert (tmp_path / "wrong.traj").read_bytes() == clean
+
+    @pytest.mark.parametrize(
+        "n, t_end, dt_record, unit_steps",
+        [(4, 0.1, None, 101), (16, 0.05, 0.01, 161)],
+    )
+    def test_default_step_divides_the_span(
+        self, tmp_path, n, t_end, dt_record, unit_steps
+    ):
+        # default_dt(N) = 0.1/(2 pi N^2) divides almost no span; without
+        # --dt the unit (dt_record, else t_end) is cut into the fewest
+        # steps no longer than default_dt(N)
+        out = tmp_path / "run.traj"
+        record = () if dt_record is None else ("--dt-record", dt_record)
+        assert run(
+            "evolve", "--n", n, "--t-end", t_end, *record,
+            "--integrator", "collocation", "--out", out,
+        ) == 0
+        unit = dt_record or t_end
+        dt = pio.read_manifest(str(out) + ".manifest.json")["config_snapshot"]["dt"]
+        assert dt == unit / unit_steps
+        assert unit / unit_steps <= default_dt(n) < unit / (unit_steps - 1)
+        assert pio.read_trajectory(out).times[-1] == pytest.approx(t_end, rel=1e-12)
+
+    def test_default_step_kept_when_it_divides(self, tmp_path):
+        # at N = 3, default_dt is 1e-3, which divides 0.071; 0.071/71 is an
+        # ulp below 1e-3, so cutting the span anew would move the bytes
+        args = ("evolve", "--n", 3, "--t-end", 0.071, "--seed", 2)
+        assert run(*args, "--out", tmp_path / "default.traj") == 0
+        assert run(*args, "--dt", 1e-3, "--out", tmp_path / "explicit.traj") == 0
+        explicit = (tmp_path / "explicit.traj").read_bytes()
+        assert (tmp_path / "default.traj").read_bytes() == explicit
 
     def test_zero_span_single_record(self, tmp_path):
         out = tmp_path / "zero.traj"
@@ -338,6 +406,23 @@ class TestReplay:
         replay_dir = tmp_path / "replayed"
         assert run("replay", "--manifest", path, "--out-dir", replay_dir) == 0
         assert (replay_dir / "tensor.bin").read_bytes() == out.read_bytes()
+
+    def test_old_evolve_manifest_with_tensor_hash_replays(self, tmp_path):
+        # reference evolve manifests once recorded the tensor cache's
+        # SHA-256; replay reads only the snapshot and touches no cache
+        out = tmp_path / "orig.traj"
+        assert run(
+            "evolve", "--n", 4, "--t-end", 0.01, "--dt", 1e-3,
+            "--integrator", "reference", "--seed", 3, "--out", out,
+        ) == 0
+        path = Path(str(out) + ".manifest.json")
+        manifest = json.loads(path.read_text())
+        manifest["tensor_cache_hash"] = hashlib.sha256(b"a cache").hexdigest()
+        path.write_text(json.dumps(manifest))
+        replay_dir = tmp_path / "replayed"
+        assert run("replay", "--manifest", path, "--out-dir", replay_dir) == 0
+        assert (replay_dir / "orig.traj").read_bytes() == out.read_bytes()
+        assert not pio.cache_dir().exists()
 
     def test_snapshot_text_and_missing_keys_resolve(self, tmp_path):
         # "4" converts as a config-file value would; a missing seed and a
@@ -624,10 +709,30 @@ class TestBenchHooks:
                 assert ballnls.cli.main([str(a) for a in argv]) == 0
             assert tracer.counts["measures.sample_gibbs.attempts"] >= 1
             spans[integrator] = {span[0] for span in tracer.spans}
-        # the reference run wrote a tensor cache; the collocation run ignores it
-        assert "io.write_tensor_cache" in spans["reference"]
-        assert "io.read_tensor_cache" not in spans["collocation"]
-        assert "basis.build_tensor" not in spans["collocation"]
+        # neither integrator builds, reads or writes a correlation tensor
+        for integrator, names in spans.items():
+            touched = {
+                name for name in names
+                if name == "basis.build_tensor"
+                or (name.startswith("io.") and name.endswith("_tensor_cache"))
+            }
+            assert not touched, integrator
+
+    def test_tensor_build_under_tracer(self, tmp_path, monkeypatch):
+        # the benchmark's tensor metrics come from tensor-build's read-back
+        # check
+        monkeypatch.syspath_prepend(str(BENCH))
+        from tracer import Tracer
+
+        argv = ("tensor-build", "--n-max", 3, "--out", tmp_path / "t.bin")
+        with Tracer() as tracer:
+            assert ballnls.cli.main([str(a) for a in argv]) == 0
+        names = {span[0] for span in tracer.spans}
+        assert {
+            "io.write_tensor_cache", "io.read_tensor_cache",
+            "basis.quartic_form", "basis.contraction_matrix",
+        } <= names
+        assert tracer.counts["basis.tensor_bytes"] > 0
 
     def test_kernel_sweep_runs(self, monkeypatch):
         # the sweep calls step_reference, step_collocation, evolve_batch,
