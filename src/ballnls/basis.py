@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import sici
+import numpy.polynomial.legendre  # noqa: F401  (loaded at import, not inside a command)
 
 from .errors import DomainError, ResolutionError
 
@@ -294,8 +294,9 @@ def inner_product(m: int, n: int) -> float:
 def correlation(n: int, n1: int, n2: int, n3: int) -> float:
     """c(n,n1,n2,n3) = 4 pi int_0^1 prod sin(n_i pi r) / r^2 dr, closed form.
 
-    Product-to-sum expansion into eight cosines (coefficient sum zero),
-    then int_0^1 (cos(q r) - 1)/r^2 dr = (1 - cos q) - q Si(q) termwise.
+    Product-to-sum expansion into eight cosines cos(k pi r) (coefficient
+    sum zero), then int_0^1 (cos(k pi r) - 1)/r^2 dr = F(|k|) termwise,
+    F(k) = (1 - cos k pi) - k pi Si(k pi) from the numpy-only _f_table.
     """
     index = [_check_index(v) for v in (n, n1, n2, n3)]
     return float(_correlation_batch(np.array([index]))[0])
@@ -309,8 +310,9 @@ def correlation_quadrature(n: int, n1: int, n2: int, n3: int) -> float:
     scalars), to 1e-12 absolute and relative.  Serves as the oracle for
     the sine-integral closed form.
     """
-    # imported here: scipy.integrate pulls in scipy.optimize, linalg and
-    # sparse, ~0.5 s of every CLI start for a function only tests call
+    # imported here, the package's one use of scipy: scipy.integrate pulls
+    # in scipy.optimize, linalg and sparse, ~0.5 s of every CLI start for a
+    # function only tests call
     from scipy.integrate import quad
 
     n, n1, n2, n3 = (_check_index(v) for v in (n, n1, n2, n3))
@@ -328,9 +330,9 @@ def correlation_quadrature(n: int, n1: int, n2: int, n3: int) -> float:
 def _correlation_batch(tuples: np.ndarray) -> np.ndarray:
     """Vectorized closed form over an (M, 4) integer index array.
 
-    Each entry is a signed sum of F(|k|) (_f_table) over eight sums
-    k = n +- n1 +- n2 +- n3.  Only the |k| up to the largest sum occur, so
-    F is tabulated once per |k| and gathered.
+    Each entry is a signed sum of F(|k|) over eight sums k = n +- n1 +-
+    n2 +- n3.  Only the |k| up to the largest sum occur, so F is
+    tabulated once, by _f_table (numpy alone, within 1 ulp), and gathered.
     """
     n, n1, n2, n3 = np.asarray(tuples, dtype=np.int64).T
     s1, s2 = n - n1, n + n1
@@ -346,11 +348,48 @@ def _correlation_batch(tuples: np.ndarray) -> np.ndarray:
     return 4.0 * np.pi * ((eps * F[ks]).sum(axis=1)) / 8.0
 
 
+# F(0..15), correctly rounded from 40-digit values of (1 - cos k pi) -
+# k pi Si(k pi)
+_F_SMALL = (
+    0.0, -3.8180318374188547, -8.910509146510103, -13.784258092564817,
+    -18.75105097707073, -23.66625978370322, -28.614266047470636,
+    -33.53957672439261, -38.4815263728654, -43.41075427992125,
+    -48.35002450061938, -53.28116589974282, -58.21902200477598,
+    -63.15123801618323, -68.08825838039795, -73.02113717810879,
+)
+# pi^2/2 = head + tail, head with 26 significant bits, so that k * head and
+# 1 - k * head are exact for k < 2^27
+_HALF_PI_SQ_HEAD = 4.934802174568176
+_HALF_PI_SQ_TAIL = 2.5976503039885996e-08
+# terms of the asymptotic series summed for k >= 16: the 25th is its
+# smallest at k = 16, ~2.6e-21, and the remainder is below the first
+# omitted term
+_F_TERMS = 25
+
+
 def _f_table(k_max: int) -> np.ndarray:
     """F(k) = int_0^1 (cos(k pi r) - 1) r^-2 dr = (1 - cos k pi) - k pi Si(k pi)
-    for k = 0..k_max."""
-    q = np.arange(k_max + 1) * np.pi
-    return (1.0 - np.cos(q)) - q * sici(q)[0]
+    for k = 0..k_max, within 1 ulp, in numpy alone.
+
+    At x = k pi, sin x = 0 and cos x = (-1)^k, so Si(x) = pi/2 - (-1)^k f(x)
+    with f the auxiliary function of Abramowitz & Stegun 5.2.8, and F(k) =
+    1 - k pi^2/2 + (-1)^k eps(x), eps(x) = x f(x) - 1 = sum_{n >= 1} (-1)^n
+    (2n)!/x^(2n) (A&S 5.2.34), summed by Horner's rule up to its smallest
+    term at k = 16.  F(0..15) are tabulated constants.  Against 40-digit
+    values, every k <= 20000 is correctly rounded.
+    """
+    F = np.empty(k_max + 1)
+    small = min(k_max + 1, len(_F_SMALL))
+    F[:small] = _F_SMALL[:small]
+    k = np.arange(small, k_max + 1)
+    y = 1.0 / (k * np.pi) ** 2
+    p = np.ones_like(y)
+    for n in range(_F_TERMS, 1, -1):
+        p = 1.0 - (2 * n) * (2 * n - 1) * y * p
+    # (-1)^k eps(x), eps(x) = -2 y p
+    eps = np.where(k % 2 == 1, 2.0, -2.0) * y * p
+    F[small:] = (1.0 - k * _HALF_PI_SQ_HEAD) + (eps - k * _HALF_PI_SQ_TAIL)
+    return F
 
 
 def _canonical_tuples(n_max: int) -> np.ndarray:

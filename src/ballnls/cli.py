@@ -320,6 +320,10 @@ def _cmd_tensor_build(cfg: dict) -> int:
     exact = quartic_form(probe, tensor)
     grid = quartic_norm_quadrature(probe)
     if not abs(exact - grid) <= 1e-10 * grid:
+        # an intact digest over wrong entries: no file is left for a reader,
+        # nor the manifest of an earlier build that this file overwrote
+        Path(out).unlink()
+        Path(str(out) + ".manifest.json").unlink(missing_ok=True)
         raise StorageError(
             f"{out}: tensor quartic {exact:.17g} of a probe state disagrees "
             f"with the grid quartic {grid:.17g}"

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import numpy.ma  # noqa: F401  (np.percentile loads it; at import, not inside a command)
 
 from .basis import _correlation_batch, rule_for_modes, trapezoid_weights
 from .dynamics import IntegratorConfig, evolve_batch
@@ -543,15 +544,23 @@ class EmbeddingReport:
 
 
 def random_spectrum(N: int, gen: np.random.Generator) -> SpaceTimeSpectrum:
-    """Gaussian coefficients weighted by n^-1 <n^2 - m>^-1."""
+    """Gaussian coefficients weighted by n^-1 <n^2 - m>^-1.
+
+    The real parts x, then the imaginary parts y, are drawn into one real
+    buffer and scaled into the complex result in place: the same bits as
+    (x + 1j y) * weight, without its three complex temporaries.
+    """
     M_half = 2 * N * N
     m = np.arange(-M_half, M_half + 1)
-    n_sq = (np.arange(1, N + 1) ** 2)[:, None]
-    weight = np.arange(1, N + 1, dtype=float)[:, None] ** -1.0
-    weight = weight * (1.0 + np.abs(n_sq - m[None, :])) ** -1.0
-    shape = (N, 2 * M_half + 1)
-    g = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
-    return SpaceTimeSpectrum(N=N, M_half=M_half, values=g * weight)
+    n = np.arange(1, N + 1)[:, None]
+    weight = (1.0 + np.abs(n * n - m)) ** -1.0
+    weight *= n**-1.0
+    values = np.empty(weight.shape, dtype=complex)
+    draw = np.empty(weight.shape)
+    for part in (values.real, values.imag):
+        gen.standard_normal(out=draw)
+        np.multiply(draw, weight, out=part)
+    return SpaceTimeSpectrum(N=N, M_half=M_half, values=values)
 
 
 def run_embedding_study(

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # noqa: F401  (loaded at import, not inside a command)
 
 from .basis import nodal_modulus_sq, quartic_grid
 from .dynamics import RadialState

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # noqa: F401  (loaded at import, not inside a command)
 
 from .basis import (
     CorrelationTensor,

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -14,6 +15,7 @@ from ballnls.basis import (
     CorrelationTensor,
     CubicBuffers,
     _correlation_batch,
+    _f_table,
     TruncatedTensorView,
     build_tensor,
     correlation,
@@ -156,8 +158,11 @@ class TestCorrelation:
             correlation(0, 1, 1, 1)
 
     def test_tabulated_f_matches_per_tuple_form(self):
-        # the batch gathers F(|k|) from a table; per tuple, the same closed
-        # form evaluates sici and cos on each of its eight sums
+        # the batch gathers F(|k|) from a numpy-only table; per tuple, the
+        # same closed form evaluates sici and cos on each of its eight sums.
+        # Each F agrees to 3 ulp (TestFTable), so an entry agrees to 8 ulp
+        # of 4 pi/8 times the sum of its eight |F|, the two summations'
+        # rounding included (1.2 ulp is the largest seen)
         gen = np.random.default_rng(17)
         tuples = gen.integers(1, 65, size=(400, 4))
         eps = np.array([1, 1, -1, -1, -1, -1, 1, 1], dtype=float)
@@ -169,7 +174,55 @@ class TestCorrelation:
             )
             q = np.abs(ks) * np.pi
             terms = eps * ((1.0 - np.cos(q)) - q * sici(q)[0])
-            assert got == 4.0 * np.pi * terms.sum() / 8.0
+            scale = 4.0 * np.pi * np.abs(terms).sum() / 8.0
+            expected = 4.0 * np.pi * terms.sum() / 8.0
+            assert abs(got - expected) <= 8 * np.spacing(scale)
+
+
+class TestFTable:
+    # F(k) = (1 - cos k pi) - k pi Si(k pi) to 40 significant digits
+    REFERENCE = {
+        0: "0",
+        1: "-3.818031837418854756945031090221777165721",
+        2: "-8.910509146510103807178167792881159413511",
+        3: "-13.78425809256481717720632411163219881621",
+        4: "-18.75105097707072777135999689209929936077",
+        5: "-23.66625978370322103360684817447679237625",
+        6: "-28.61426604747063514214034296523903829799",
+        7: "-33.53957672439261043812753826107196409941",
+        8: "-38.48152637286540447997571993089223861066",
+        9: "-43.41075427992125208116237589890112328073",
+        10: "-48.35002450061937797202242045162150466755",
+        11: "-53.2811658997428195457921568374491961087",
+        12: "-58.21902200477597758736563745724401398277",
+        13: "-63.15123801618322912888489131258038169849",
+        14: "-68.08825838039794425808030208765467753897",
+        15: "-73.02113717810878311569127792417371609996",
+        16: "-77.95762306463012234121232486975932750378",
+        17: "-82.89093914412102220149344895633162559083",
+        100: "-492.4802403162415721598682882919899984099",
+        1000: "-4933.802200747321430319095842413261125415",
+        4096: "-20211.9498134430848768161547565642006253",
+        20000: "-98695.04401089409279426158179029222991658",
+    }
+
+    def test_within_one_ulp_of_reference(self):
+        F = _f_table(20000)
+        for k, ref in self.REFERENCE.items():
+            err = abs(Fraction(float(F[k])) - Fraction(ref))
+            assert err <= Fraction(float(np.spacing(abs(F[k])))), k
+
+    def test_matches_sici_form(self):
+        F = _f_table(20000)
+        q = np.arange(F.size) * np.pi
+        sici_form = (1.0 - np.cos(q)) - q * sici(q)[0]
+        assert np.all(np.abs(F - sici_form) <= 3 * np.spacing(np.abs(F)))
+
+    def test_prefixes_agree(self):
+        # the tabulated head k <= 15 and the series tail join at any k_max
+        full = _f_table(40)
+        for k_max in (0, 1, 15, 16, 17, 40):
+            assert np.array_equal(_f_table(k_max), full[: k_max + 1])
 
 
 class TestCorrelationTensor:

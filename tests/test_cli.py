@@ -68,17 +68,20 @@ class TestTensorBuild:
 
     def test_wrong_cached_entries_exit_3(self, tmp_path, monkeypatch, capsys):
         # an intact file whose entries are not the correlation coefficients:
-        # tensor-build reads back what it wrote and checks it
+        # tensor-build reads back what it wrote, checks it, and on failure
+        # leaves neither that file nor an earlier build's manifest
         build = ballnls.cli.build_tensor
 
         def wrong(n):
             tensor = build(n)
             return dataclasses.replace(tensor, values=1.5 * tensor.values)
 
-        monkeypatch.setattr(ballnls.cli, "build_tensor", wrong)
         out = tmp_path / "tensor.bin"
+        assert run("tensor-build", "--n-max", 4, "--out", out) == 0
+        monkeypatch.setattr(ballnls.cli, "build_tensor", wrong)
         assert run("tensor-build", "--n-max", 4, "--out", out) == 3
         assert "disagrees with the grid quartic" in capsys.readouterr().err
+        assert not out.exists()
         assert not Path(str(out) + ".manifest.json").exists()
 
     def test_quad_order_option_removed(self, tmp_path):
@@ -647,6 +650,48 @@ class TestStartup:
             text=True, check=True, timeout=120,
         ).stdout
         assert out.strip() == "False"
+
+    def test_no_command_imports_scipy(self, tmp_path):
+        # numpy alone serves every command; the numpy submodules that
+        # scipy used to pull in load at import, before any command runs
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(SRC), env.get("PYTHONPATH")))
+        )
+        code = """if True:
+            import contextlib, io, json, sys
+            import ballnls.cli
+
+            def scipy():
+                return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+            at_import = scipy()
+            parts = ("numpy.random", "numpy.fft", "numpy.ma")
+            numpy_parts = [m in sys.modules for m in parts]
+            commands = (
+                "tensor-build --n-max 4 --out t.bin",
+                "evolve --n 4 --t-end 0.001 --dt 0.0005 --integrator reference "
+                "--measure gibbs --seed 7 --out r.traj",
+                "experiment invariance --n 4 --samples 100 --t-compare 0.01 --seed 404 "
+                "--out-json inv.json --out-csv inv.csv",
+                "experiment tails --n 4 --samples 10000 --seed 707 "
+                "--out-json tails.json --out-csv tails.csv",
+            )
+            codes = []
+            for command in commands:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    codes.append(ballnls.cli.main(command.split()))
+            print(json.dumps([at_import, numpy_parts, codes, scipy()]))
+        """
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True, timeout=300, cwd=tmp_path,
+        ).stdout
+        at_import, numpy_parts, codes, after = json.loads(out.splitlines()[-1])
+        assert at_import == []
+        assert numpy_parts == [True, True, True]
+        assert codes[:3] == [0, 0, 0] and codes[3] in (0, 4)
+        assert after == []
 
     # setuptools' notice that [tool.setuptools] in pyproject.toml is beta
     @pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")

@@ -20,6 +20,7 @@ from ballnls.experiments import (
     run_block_observables,
     run_convergence_ladder,
     run_embedding_study,
+    random_spectrum,
     run_invariance,
     run_tail_experiment,
 )
@@ -298,3 +299,19 @@ class TestEmbeddings:
         a = run_embedding_study("vii", N=4, trials=3, rng=RngStream(seed=9))
         b = run_embedding_study("vii", N=4, trials=3, rng=RngStream(seed=9))
         assert np.array_equal(a.ratios, b.ratios)
+
+    @pytest.mark.parametrize("N", [4, 64])
+    @pytest.mark.parametrize("seed", [0, 909])
+    def test_random_spectrum_bits(self, N, seed):
+        # the in-place draw gives the bits of the plain formula
+        M = 2 * N * N
+        m = np.arange(-M, M + 1)
+        n = np.arange(1, N + 1, dtype=float)[:, None]
+        weight = n**-1.0 * (1.0 + np.abs(n * n - m)) ** -1.0
+        gen = np.random.Generator(np.random.PCG64(seed))
+        x = gen.standard_normal(weight.shape)
+        y = gen.standard_normal(weight.shape)
+        expected = (x + 1j * y) * weight
+        spec = random_spectrum(N, np.random.Generator(np.random.PCG64(seed)))
+        assert spec.M_half == M
+        assert spec.values.tobytes() == expected.tobytes()
