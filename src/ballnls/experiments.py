@@ -25,6 +25,7 @@ from .errors import (
     PrecisionError,
 )
 from .measures import (
+    _CHUNK_ROWS,
     DEFAULT_BETA_Q,
     FreeMeasureSpec,
     RngStream,
@@ -193,14 +194,15 @@ class TailFit:
 
 
 def _fit_tail(values: np.ndarray):
-    lo, hi = np.percentile(values, [50.0, 99.5])
+    ordered = np.sort(values)
+    # the percentiles of the sorted copy are the same order statistics
+    lo, hi = np.percentile(ordered, [50.0, 99.5])
     if not (hi > lo > 0):
         raise FitDegenerateError(
             "tail fit degenerate: no spread between the 50th and 99.5th "
             "percentiles"
         )
     grid = np.geomspace(lo, hi, 48)
-    ordered = np.sort(values)
     survival = 1.0 - np.searchsorted(ordered, grid, side="right") / values.size
     keep = survival > 0
     if np.count_nonzero(keep) < 4:
@@ -212,16 +214,35 @@ def _fit_tail(values: np.ndarray):
     return grid, np.log(survival, where=survival > 0, out=np.full_like(survival, -np.inf)), float(np.exp(log_c)), float(kappa)
 
 
+def _record_step(norm_kind: str, N: int) -> float:
+    """Record spacing of the unit window a space-time tail kind evolves."""
+    if norm_kind == "mixed":
+        return 1.0 / (16 * N * N)
+    if norm_kind == "xsb":
+        return 1.0 / (8 * N * N + 4)
+    raise DomainError(f"unknown norm kind {norm_kind!r}")
+
+
+def _chunk_rows(norm_kind: str, N: int) -> int:
+    """Rows the tails draw and reduce at a time: the batch each kernel takes.
+
+    L4_x: _quartic_batch's chunk, so each row's s H GEMM keeps one shape.
+    mixed/xsb: a budget of 2^24 recorded values per evolve_batch call.
+    """
+    if norm_kind == "L4_x":
+        return _CHUNK_ROWS
+    return max(1, 2**24 // (int(1.0 / _record_step(norm_kind, N)) * N))
+
+
 def _norm_samples(
     norm_kind: str, A: np.ndarray, params: NormParams, dt: float, coupling: float
 ) -> np.ndarray:
+    """The tail kind's norm of each row of one chunk A (_chunk_rows rows)."""
     if norm_kind == "L4_x":
         return _quartic_batch(A) ** 0.25
-    if norm_kind not in ("mixed", "xsb"):
-        raise DomainError(f"unknown norm kind {norm_kind!r}")
     # evolve each sample over a unit window, then apply the space-time norm
-    S, N = A.shape
-    dt_rec = 1.0 / (16 * N * N) if norm_kind == "mixed" else 1.0 / (8 * N * N + 4)
+    N = A.shape[1]
+    dt_rec = _record_step(norm_kind, N)
     steps_per_rec = max(1, int(round(dt_rec / dt)))
     config = IntegratorConfig(
         method="collocation_split",
@@ -230,19 +251,42 @@ def _norm_samples(
         coupling=coupling,
     )
     rule = rule_for_modes(4 * N)
-    out = np.empty(S)
-    chunk = max(1, 2**24 // (int(1.0 / dt_rec) * N))
-    for lo in range(0, S, chunk):
-        times, records = evolve_batch(A[lo : lo + chunk], 0.0, 1.0, config)
-        for j in range(records.shape[1]):
-            traj = records[:, j, :]
-            if norm_kind == "mixed":
-                out[lo + j] = mixed_norm_matrix(traj, dt_rec, params.p, params.q, rule)
-            else:
-                # records close the window [0, 1]; drop the endpoint
-                spec = spectrum_from_samples(traj[:-1])
-                out[lo + j] = xsb_norm(spec, params.s, params.b)
+    out = np.empty(len(A))
+    _, records = evolve_batch(A, 0.0, 1.0, config)
+    for j in range(records.shape[1]):
+        traj = records[:, j, :]
+        if norm_kind == "mixed":
+            out[j] = mixed_norm_matrix(traj, dt_rec, params.p, params.q, rule)
+        else:
+            # records close the window [0, 1]; drop the endpoint
+            spec = spectrum_from_samples(traj[:-1])
+            out[j] = xsb_norm(spec, params.s, params.b)
     return out
+
+
+def _tail_values(
+    norm_kind: str, N: int, samples: int, measure: str, rng: RngStream
+) -> np.ndarray:
+    """One norm per sample, drawn and reduced a chunk of rows at a time.
+
+    Row k still draws from rng.child(k), so the values are those of one
+    whole-ensemble draw; only one chunk of coefficients is ever held.
+    """
+    if measure not in ("free", "gibbs"):
+        raise DomainError(f"unknown measure {measure!r}")
+    spec = FreeMeasureSpec.derived(N)
+    chunk = _chunk_rows(norm_kind, N)
+    values = np.empty(samples)
+    for lo in range(0, samples, chunk):
+        m = min(chunk, samples - lo)
+        if measure == "free":
+            A = sample_free_batch(spec, rng.child(lo), m)
+        else:
+            A, _, _ = sample_gibbs_batch(spec, DEFAULT_BETA_Q, rng.child(lo), m)
+        values[lo : lo + m] = _norm_samples(
+            norm_kind, A, NormParams(), dt=1e-3, coupling=1.0
+        )
+    return values
 
 
 def run_tail_experiment(
@@ -258,21 +302,16 @@ def run_tail_experiment(
     Samples come from the derived-sigma free measure, or from its Gibbs
     measure at DEFAULT_BETA_Q (the invariant pair); the space-time kinds
     evolve them at unit coupling (_norm_samples with dt = 1e-3) and take
-    their norms at the default NormParams().
+    their norms at the default NormParams().  Each chunk of samples is
+    reduced to its norms as it is drawn (_tail_values), so the run holds one
+    float per sample and one chunk, never the (samples, N) ensemble.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
     if samples < 10_000:
         raise PrecisionError("tail resolution needs samples >= 10^4")
     rng = rng if rng is not None else RngStream(seed=0)
-    spec = FreeMeasureSpec.derived(N)
-    if measure == "free":
-        A = sample_free_batch(spec, rng, samples)
-    elif measure == "gibbs":
-        A, _, _ = sample_gibbs_batch(spec, DEFAULT_BETA_Q, rng, samples)
-    else:
-        raise DomainError(f"unknown measure {measure!r}")
-    values = _norm_samples(norm_kind, A, NormParams(), dt=1e-3, coupling=1.0)
+    values = _tail_values(norm_kind, N, samples, measure, rng)
     if np.ptp(values) == 0:
         raise FitDegenerateError("tail fit degenerate: point-mass distribution")
     grid, log_surv, c_hat, kappa_hat = _fit_tail(values)

@@ -120,12 +120,6 @@ class GibbsSample:
             raise DomainError("attempts must be >= 1")
 
 
-def _complex_gaussian(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(x + iy)/sqrt(2) from real and imaginary standard normals: standard
-    complex Gaussians with E|g|^2 = 1."""
-    return (x + 1j * y) / np.sqrt(2.0)
-
-
 def sample_free(spec: FreeMeasureSpec, rng: RngStream) -> RadialState:
     """Draw a_n = sigma_n g_n for n <= N from stream rng: the one-row case
     of sample_free_batch."""
@@ -133,9 +127,32 @@ def sample_free(spec: FreeMeasureSpec, rng: RngStream) -> RadialState:
     return RadialState(N=spec.N, coeffs=coeffs, time=0.0)
 
 
-# Rows per chunk of sample_free_batch: its draw buffer and temporaries stay
-# a few MB at N = 64.
-_FREE_CHUNK = 1024
+# Rows per chunk of sample_free_batch and _quartic_batch: the draw buffer,
+# the quartic's GEMM output and its nodal buffers are 1 MB each at N = 64
+# (chunks of 2^19 nodal values, 4128 rows there, raised the peak RSS of
+# 10^5-row batches by ~5 %).  One constant, because the L^4 tails draw and
+# reduce one chunk at a time: a chunk of this size keeps the s H GEMM of
+# every row at the shape it has in one whole batch, and with BLAS threads a
+# row's last bits can depend on that shape.
+_CHUNK_ROWS = 1024
+
+# numpy divides a complex by a real with Smith's algorithm, which multiplies
+# by fl(1/sqrt(2)); scaling x and y by it gives the bits of (x + iy)/sqrt(2).
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+def _scaled_gaussians(
+    normals: np.ndarray, sigma: np.ndarray, out: np.ndarray
+) -> None:
+    """out = sigma g for normals[:, 0] = x and normals[:, 1] = y, with g =
+    (x + iy)/sqrt(2) the standard complex Gaussians (E|g|^2 = 1).
+
+    Written into out.real and out.imag with the bits of
+    sigma * ((x + 1j * y) / np.sqrt(2.0)), without its complex temporaries.
+    """
+    for part, z in ((out.real, normals[:, 0]), (out.imag, normals[:, 1])):
+        np.multiply(z, _INV_SQRT2, out=part)
+        part *= sigma
 
 
 def sample_free_batch(
@@ -152,15 +169,14 @@ def sample_free_batch(
         raise DomainError("count must be >= 1")
     gen = np.random.Generator(np.random.PCG64(0))
     out = np.empty((count, spec.N), dtype=complex)
-    buf = np.empty((min(count, _FREE_CHUNK), 2, spec.N))
-    for lo in range(0, count, _FREE_CHUNK):
-        rows = buf[: min(_FREE_CHUNK, count - lo)]
+    buf = np.empty((min(count, _CHUNK_ROWS), 2, spec.N))
+    for lo in range(0, count, _CHUNK_ROWS):
+        rows = buf[: min(_CHUNK_ROWS, count - lo)]
         states = _pcg64_states(int(rng.seed), int(rng.stream_id) + lo, len(rows))
         for row, (lcg, inc) in zip(rows, states):
             _set_pcg64(gen, lcg, inc)
             gen.standard_normal(out=row)
-        x, y = rows[:, 0], rows[:, 1]
-        out[lo : lo + len(rows)] = spec.sigma * _complex_gaussian(x, y)
+        _scaled_gaussians(rows, spec.sigma, out[lo : lo + len(rows)])
     return out
 
 
@@ -276,12 +292,6 @@ def quartic_norm_quadrature(coeffs: np.ndarray) -> float | np.ndarray:
     return float(q[0]) if a.ndim == 1 else q
 
 
-# Rows per chunk of _quartic_batch.  Its GEMM output and the nodal buffers
-# are 1 MB each at N = 64; chunks of 2^19 nodal values (4128 rows there)
-# raised the peak RSS of 10^5-row batches by ~5 %.
-_QUARTIC_ROWS = 1024
-
-
 def _quartic_batch(coeffs: np.ndarray) -> np.ndarray:
     """||phi_k||_{L^4}^4 for a (count, N) batch, exact up to rounding.
 
@@ -291,8 +301,8 @@ def _quartic_batch(coeffs: np.ndarray) -> np.ndarray:
     """
     S, H = quartic_grid(coeffs.shape[1])
     out = np.empty(coeffs.shape[0])
-    hs_buf = np.empty((max(2, min(len(coeffs), _QUARTIC_ROWS)), H.shape[0]))
-    for rows, s in nodal_modulus_sq(coeffs, S, _QUARTIC_ROWS):
+    hs_buf = np.empty((max(2, min(len(coeffs), _CHUNK_ROWS)), H.shape[0]))
+    for rows, s in nodal_modulus_sq(coeffs, S, _CHUNK_ROWS):
         n = len(s)
         if n == 1:
             # a one-row matmul takes numpy's gemv path, whose bits differ
@@ -361,7 +371,8 @@ def sample_gibbs_batch(
             gen.standard_normal(out=normals[row])
             unis[row] = gen.uniform()
             states[k] = (gen.bit_generator.state["state"]["state"], inc)
-        draws = spec.sigma * _complex_gaussian(normals[:, 0], normals[:, 1])
+        draws = np.empty((pending.size, spec.N), dtype=complex)
+        _scaled_gaussians(normals, spec.sigma, draws)
         qn = _quartic_batch(draws)
         attempts_total += pending.size
         accept = unis < np.exp(-beta_q * qn)
@@ -401,7 +412,8 @@ def chaos_moment_ratio(
     step = max(1, 2**22 // max(alpha.size, 1))
     for lo in range(0, trials, step):
         m = min(step, trials - lo)
-        g = _complex_gaussian(*gen.standard_normal((2, m, alpha.size)))
+        x, y = gen.standard_normal((2, m, alpha.size))
+        g = (x + 1j * y) / np.sqrt(2.0)
         powers[lo : lo + m] = np.abs(g @ alpha) ** q
     denom = np.sqrt(q) * l2
     ratio = float(np.mean(powers) ** (1.0 / q) / denom)

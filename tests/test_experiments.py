@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ballnls.basis import build_tensor, rule_for_modes
+from ballnls.basis import build_tensor, quartic_grid, rule_for_modes
 from ballnls.dynamics import IntegratorConfig, RadialState, evolve
 from ballnls.errors import (
     BlowUpError,
@@ -25,10 +26,13 @@ from ballnls.experiments import (
     run_tail_experiment,
 )
 from ballnls.measures import (
+    DEFAULT_BETA_Q,
     FreeMeasureSpec,
     RngStream,
+    _quartic_batch,
     sample_free,
     sample_free_batch,
+    sample_gibbs_batch,
 )
 from ballnls.norms import NormParams, mixed_norm, spectrum_from_trajectory, xsb_norm
 
@@ -147,6 +151,79 @@ class TestTails:
             else:
                 expected = xsb_norm(spectrum_from_trajectory(traj), params.s, params.b)
             assert value == pytest.approx(expected, rel=1e-12)
+
+
+def whole_ensemble_l4(measure, N, n, rng):
+    """||phi_k||_{L^4} of one whole (n, N) draw: the unstreamed values."""
+    spec = FreeMeasureSpec.derived(N)
+    if measure == "free":
+        A = sample_free_batch(spec, rng, n)
+    else:
+        A, _, _ = sample_gibbs_batch(spec, DEFAULT_BETA_Q, rng, n)
+    return _quartic_batch(A) ** 0.25
+
+
+def written_out_fit(values):
+    """The tail fit as percentiles of the unsorted values, then a sort."""
+    lo, hi = np.percentile(values, [50.0, 99.5])
+    grid = np.geomspace(lo, hi, 48)
+    ordered = np.sort(values)
+    survival = 1.0 - np.searchsorted(ordered, grid, side="right") / values.size
+    keep = survival > 0
+    x = np.log(grid[keep])
+    y = np.log(-np.log(survival[keep]))
+    kappa, log_c = np.polyfit(x, y, 1)
+    log_surv = np.log(
+        survival, where=survival > 0, out=np.full_like(survival, -np.inf)
+    )
+    return grid, log_surv, float(np.exp(log_c)), float(kappa)
+
+
+class TestStreamedTails:
+    """The tails draw and reduce one chunk at a time, with the bits of one
+    whole-ensemble draw."""
+
+    @pytest.mark.parametrize("measure", ["free", "gibbs"])
+    @pytest.mark.parametrize("N, n", [(8, 10_003), (64, 3_001)])
+    def test_values_are_whole_ensemble_bits(self, measure, N, n):
+        from ballnls.experiments import _tail_values
+
+        rng = RngStream(seed=17, stream_id=5)
+        got = _tail_values("L4_x", N, n, measure, rng)
+        expected = whole_ensemble_l4(measure, N, n, rng)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_fit_is_the_written_out_formula(self):
+        # 10 003 samples: the last chunk is partial
+        n, rng = 10_003, RngStream(seed=23)
+        fit = run_tail_experiment("L4_x", N=8, samples=n, rng=rng, bootstrap=4)
+        values = whole_ensemble_l4("free", 8, n, rng)
+        grid, log_surv, c_hat, kappa_hat = written_out_fit(values)
+        boot_gen = rng.child(n).generator()
+        boots = [
+            written_out_fit(values[boot_gen.integers(0, n, size=n)])
+            for _ in range(4)
+        ]
+        assert fit.lambda_grid.tobytes() == grid.tobytes()
+        assert fit.empirical_log_survival.tobytes() == log_surv.tobytes()
+        assert fit.fitted_c == c_hat
+        assert fit.fitted_kappa == kappa_hat
+        assert fit.kappa_stderr == float(np.std([b[3] for b in boots]))
+        assert fit.c_stderr == float(np.std([b[2] for b in boots]))
+
+    def test_peak_memory_is_one_chunk(self):
+        # The whole (20 000, 64) complex ensemble alone is 20 MB; streamed,
+        # the run holds one float per sample and one 1 024-row chunk
+        # (~5 MB traced).  The grid's S and H are built first: they are
+        # cached for the life of the process.
+        quartic_grid(64)
+        tracemalloc.start()
+        try:
+            run_tail_experiment("L4_x", N=64, samples=20_000, rng=RngStream(seed=5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 class TestBlocks:

@@ -15,8 +15,7 @@ from ballnls.basis import (
 )
 from ballnls.errors import DomainError, SamplingError
 from ballnls.measures import (
-    _FREE_CHUNK,
-    _QUARTIC_ROWS,
+    _CHUNK_ROWS,
     DEFAULT_BETA_Q,
     FreeMeasureSpec,
     RngStream,
@@ -101,7 +100,7 @@ class TestFreeBatchExact:
             expected = one_stream_draw(spec, rng.child(k).generator())
             assert np.array_equal(batch[k], expected), k
 
-    @pytest.mark.parametrize("N", [0, 1, 5, 64])
+    @pytest.mark.parametrize("N", [0, 1, 5, 64, 257])
     @pytest.mark.parametrize("seed, stream_id", [(0, 0), (2**70, 2**40)])
     def test_sample_free_is_one_stream_draw(self, N, seed, stream_id):
         spec = FreeMeasureSpec.derived(N)
@@ -115,7 +114,7 @@ class TestFreeBatchExact:
         self.check(N, seed, 0, 3)
 
     @pytest.mark.parametrize(
-        "count", [1, _FREE_CHUNK - 1, _FREE_CHUNK, _FREE_CHUNK + 1]
+        "count", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1]
     )
     def test_counts_around_chunk(self, count):
         self.check(5, 11, 0, count)
@@ -124,7 +123,7 @@ class TestFreeBatchExact:
     def test_keys_crossing_word_boundaries(self, seed):
         # a chunk whose spawn keys go from one 32-bit word to two, and
         # from two to three
-        self.check(5, seed, 2**32 - _FREE_CHUNK // 2, _FREE_CHUNK + 3)
+        self.check(5, seed, 2**32 - _CHUNK_ROWS // 2, _CHUNK_ROWS + 3)
         self.check(1, seed, 2**64 - 2, 4)
 
 
@@ -172,10 +171,10 @@ class TestQuarticBatch:
     def test_chunk_boundaries_do_not_change_rows(self):
         # lo = 4 leaves a one-row last chunk, which still goes through gemm
         A = sample_free_batch(
-            FreeMeasureSpec.derived(8), RngStream(seed=8), 2 * _QUARTIC_ROWS + 5
+            FreeMeasureSpec.derived(8), RngStream(seed=8), 2 * _CHUNK_ROWS + 5
         )
         got = _quartic_batch(A)
-        for lo in (1, 2, 4, _QUARTIC_ROWS - 1, _QUARTIC_ROWS, _QUARTIC_ROWS + 3):
+        for lo in (1, 2, 4, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 3):
             assert np.array_equal(got[lo:], _quartic_batch(A[lo:])), lo
 
     @pytest.mark.parametrize("N", [1, 8, 64])
@@ -198,7 +197,7 @@ class TestQuarticBatch:
         # read these bits; this is the formula the draws were recorded with.
         N = 8
         S, H = quartic_grid(N)
-        chunk = _QUARTIC_ROWS
+        chunk = _CHUNK_ROWS
         A = sample_free_batch(FreeMeasureSpec.derived(N), RngStream(seed=9), 2 * chunk + 5)
         expected = np.empty(A.shape[0])
         for lo in range(0, A.shape[0], chunk):
