@@ -5,7 +5,7 @@ Modules:
     basis       eigenfunctions, quadrature, the correlation tensor
     measures    free/Gibbs sampling, chaos moment diagnostics
     dynamics    reference and collocation integrators
-    norms       H^s, mixed, X^{s,b}, triple-norm and trilinear evaluators
+    norms       H^s, mixed, X^{s,b}, triple-norm, exact grid trilinear form
     experiments invariance, tails, blocks, ladder, embedding studies
     io / cli    persistence formats, manifests, command-line surface
 """
@@ -13,7 +13,6 @@ Modules:
 from .basis import (
     CorrelationTensor,
     QuadratureRule,
-    TruncatedTensorView,
     build_tensor,
     correlation,
     eigenfunction_value,
@@ -36,7 +35,6 @@ __all__ = [
     "RuntimeFailure",
     "SpaceTimeSpectrum",
     "Trajectory",
-    "TruncatedTensorView",
     "UsageError",
     "build_tensor",
     "correlation",

@@ -2,9 +2,8 @@
 
 Eigenfunctions e_n(x) = sin(n pi |x|)/|x| with Dirichlet boundary, their
 L^p norms, the exact grid forms of the cubic term and the quartic, the
-quartic correlation tensor c(n,n1,n2,n3) = int_B e_n e_n1 e_n2 e_n3 dx
-with its near-resonant truncated view, the diagonal sigma sums, and
-lattice-point counting on circles.
+quartic correlation tensor c(n,n1,n2,n3) = int_B e_n e_n1 e_n2 e_n3 dx,
+the diagonal sigma sums, and lattice-point counting on circles.
 
 All integrals over the ball reduce to 4*pi * int_0^1 f(r) r^2 dr for
 radial f.  Integrands with 1/r factors are always evaluated through their
@@ -25,7 +24,6 @@ from .errors import DomainError, ResolutionError
 __all__ = [
     "QuadratureRule",
     "CorrelationTensor",
-    "TruncatedTensorView",
     "gauss_legendre_rule",
     "rule_for_modes",
     "eigenfunction_value",
@@ -455,15 +453,10 @@ class CorrelationTensor:
 
     def dense(self, N: int | None = None) -> np.ndarray:
         """Read-only (N,N,N,N) array C[n-1,n1-1,n2-1,n3-1], gathered afresh
-        from contraction_matrix(N) on each call."""
-        C = self._gather(N)
-        C.flags.writeable = False
-        return C
+        from contraction_matrix(N) on each call.
 
-    def _gather(self, N: int | None) -> np.ndarray:
-        """Writable dense(N): K[pair(n,n1), pair(n2,n3)] / w_pair(n,n1).
-
-        One N^4 allocation; dividing by the pair weights 1 and 2 is exact.
+        C[n,n1,n2,n3] = K[pair(n,n1), pair(n2,n3)] / w_pair(n,n1): one N^4
+        allocation; dividing by the pair weights 1 and 2 is exact.
         """
         N = self.n_max if N is None else int(N)
         K = self.contraction_matrix(N)
@@ -471,6 +464,7 @@ class CorrelationTensor:
         P = pair.ravel()
         C = K[P[:, None], P]
         C /= w[P, None]
+        C.flags.writeable = False
         return C.reshape(N, N, N, N)
 
     def contraction_matrix(self, N: int) -> np.ndarray:
@@ -499,43 +493,6 @@ class CorrelationTensor:
                 K[Q, P] = w[Q] * vals
             self._matrices[N] = K
         return self._matrices[N]
-
-
-@dataclass(frozen=True)
-class TruncatedTensorView:
-    """c_K: entries vanish when |n^2 - n1^2 + n2^2 - n3^2| >= 10 K."""
-
-    base: CorrelationTensor
-    K: float
-
-    def __post_init__(self):
-        if self.K <= 0:
-            raise DomainError("truncation threshold K must be positive")
-
-    @property
-    def n_max(self) -> int:
-        return self.base.n_max
-
-    def value(self, n: int, n1: int, n2: int, n3: int) -> float:
-        if abs(n**2 - n1**2 + n2**2 - n3**2) >= 10.0 * self.K:
-            # still validate the cutoff like the base tensor would
-            if max(n, n1, n2, n3) > self.base.n_max:
-                raise ResolutionError("index exceeds tensor cutoff")
-            return 0.0
-        return self.base.value(n, n1, n2, n3)
-
-    def dense(self, N: int | None = None) -> np.ndarray:
-        N = self.base.n_max if N is None else int(N)
-        C = self.base._gather(N)
-        sq = (np.arange(1, N + 1) ** 2).astype(float)
-        res = (
-            sq[:, None, None, None]
-            - sq[None, :, None, None]
-            + sq[None, None, :, None]
-            - sq[None, None, None, :]
-        )
-        C[np.abs(res) >= 10.0 * self.K] = 0.0
-        return C
 
 
 def build_tensor(n_max: int) -> CorrelationTensor:

@@ -1,5 +1,6 @@
 """Norm evaluators: H^s, mixed L^p_x L^q_t, X^{s,b}, the windowed triple
-norm, dyadic projections, space-time spectra and the trilinear form.
+norm, dyadic projections, space-time spectra and the trilinear form,
+exact on quartic_grid's samples, with no tensor and no limit on N.
 
 Spectrum convention: a window of model-time length 1 starting at t0 is
 analyzed as
@@ -24,11 +25,10 @@ import numpy as np
 import numpy.fft  # noqa: F401  (loaded at import, not inside a command)
 
 from .basis import (
-    CorrelationTensor,
     QuadratureRule,
-    TruncatedTensorView,
     eval_matrix,
     nodal_modulus_sq,
+    quartic_grid,
     trapezoid_weights,
 )
 from .dynamics import RadialState, Trajectory
@@ -323,50 +323,43 @@ def dyadic_project(obj, N_low: int, N_high: int):
     raise DomainError(f"cannot project object of type {type(obj).__name__}")
 
 
-TRILINEAR_N_LIMIT = 24
-
-
 def trilinear_form(
     v: SpaceTimeSpectrum,
     v1: SpaceTimeSpectrum,
     u2: SpaceTimeSpectrum,
     u3: SpaceTimeSpectrum,
-    tensor_view: CorrelationTensor | TruncatedTensorView,
 ) -> complex:
     """sum over m - m1 + m2 - m3 = 0 of c(n,nbar) conj(v) v1 conj(u2) u3.
 
-    The time-frequency constraint is folded into two lag correlations:
-    with k = m1 - m = m2 - m3,
+    That is the time average of int_B conj(v) v1 conj(u2) u3 dx, which the
+    grid of quartic_grid(N) evaluates exactly, with no tensor.  In time: the
+    product's frequencies m - m1 + m2 - m3 lie in [-4M, 4M], M = M_half, so
+    its mean over 4M + 1 uniform samples (synthesize_uniform) is its time
+    average.  In space: with the grid's S, the fields go to the 2N - 1
+    interior samples of r u (r = j/2N), where p = conj(r v)(r v1) and
+    q = conj(r u2)(r u3) are cosine series of degree <= 2N that vanish at
+    r = 0, so p^T H q is 4 pi int_0^1 p q r^-2 dr, as for the quartic.
 
-        A_k[n,n1]  = sum_m  conj(v_{n,m})   v1_{n1,m+k}
-        B_k[n2,n3] = sum_m3 conj(u2_{n2,m3+k}) u3_{n3,m3}
-
-    and the form is sum_k <C, A_k x B_k>.
+    The cost is O(N^4): 8 N^2 time rows times (2N - 1)^2 per row.  The
+    working memory is the four synthesized fields, (4M + 1) x N complex
+    each, about twice the spectra, plus one chunk of ~2^17 grid values
+    per field; the rows' p^T q products are summed in one
+    (2N - 1) x (2N - 1) matrix and contracted with H once.
     """
     specs = (v, v1, u2, u3)
     N = v.N
     M = v.M_half
     if any(s.N != N or s.M_half != M for s in specs):
         raise DomainError("all spectra must share N and M_half")
-    if N > TRILINEAR_N_LIMIT:
-        raise ResolutionError(
-            f"trilinear form limited to N <= {TRILINEAR_N_LIMIT} (got {N})"
-        )
-    C = tensor_view.dense(N)
-    V, V1, U2, U3 = (s.values for s in specs)
-    W = 2 * M + 1
-    total = 0.0 + 0.0j
-    for k in range(-(W - 1), W):
-        if k >= 0:
-            A = np.conj(V[:, : W - k]) @ V1[:, k:].T
-            B = np.conj(U2[:, k:]) @ U3[:, : W - k].T
-        else:
-            A = np.conj(V[:, -k:]) @ V1[:, : W + k].T
-            B = np.conj(U2[:, : W + k]) @ U3[:, -k:].T
-        if not (A.any() and B.any()):
-            continue
-        total += np.einsum("ab,abcd,cd->", A, C, B)
-    return complex(total)
+    rows = 4 * M + 1
+    grid, H = quartic_grid(N)
+    fields = [synthesize_uniform(s, rows) for s in specs]
+    G = np.zeros((2 * N - 1, 2 * N - 1), dtype=complex)
+    step = 2**16 // N
+    for lo in range(0, rows, step):
+        a, a1, b2, b3 = (f[lo : lo + step] @ grid for f in fields)
+        G += (np.conj(a) * a1).T @ (np.conj(b2) * b3)
+    return complex(np.sum(H * G) / rows)
 
 
 def lemma1_check(spec: SpaceTimeSpectrum, T: float) -> float:

@@ -213,7 +213,6 @@ def test_criterion_10_lattice_counts():
 
 def test_criterion_11_trilinear_oracle():
     N = 4
-    tensor = build_tensor(N)
     gen = np.random.default_rng(1111)
     M = 2 * N * N
     m = np.arange(-M, M + 1)
@@ -229,7 +228,7 @@ def test_criterion_11_trilinear_oracle():
         )
         for _ in range(4)
     ]
-    got = trilinear_form(*specs, tensor)
+    got = trilinear_form(*specs)
     S = 8 * M
     rule = rule_for_modes(4 * N)
     n = np.arange(1, N + 1, dtype=float)[:, None]

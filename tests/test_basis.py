@@ -16,7 +16,6 @@ from ballnls.basis import (
     CubicBuffers,
     _correlation_batch,
     _f_table,
-    TruncatedTensorView,
     build_tensor,
     correlation,
     correlation_quadrature,
@@ -279,12 +278,6 @@ class TestCorrelationTensor:
         scaled = dataclasses.replace(tensor, values=1.5 * tensor.values)
         assert quartic_form(a, scaled) == pytest.approx(1.5 * q, rel=1e-13)
         assert quartic_form(a, tensor) == q
-
-    def test_truncated_view_zeroes_far_sets(self, tensor):
-        view = TruncatedTensorView(base=tensor, K=1)
-        # |n^2 - n1^2 + n2^2 - n3^2| = |64 - 1 + 1 - 1| = 63 >= 10
-        assert view.value(8, 1, 1, 1) == 0.0
-        assert view.value(2, 2, 3, 3) == tensor.value(2, 2, 3, 3)
 
     def test_quartic_form_matches_quadrature(self, tensor):
         from ballnls.measures import quartic_norm_quadrature

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ballnls.basis import (
     build_tensor,
@@ -370,53 +372,101 @@ class TestDyadicProject:
             dyadic_project(random_spectrum(2, seed=0), 3, 2)
 
 
+def dense_trilinear(v, v1, u2, u3, C):
+    """The form by the dense tensor C, O(N^6): the oracle for N <= 12.
+
+    The time-frequency constraint is folded into two lag correlations:
+    with k = m1 - m = m2 - m3,
+
+        A_k[n,n1]  = sum_m  conj(v_{n,m})   v1_{n1,m+k}
+        B_k[n2,n3] = sum_m3 conj(u2_{n2,m3+k}) u3_{n3,m3}
+
+    and the form is sum_k <C, A_k x B_k>.
+    """
+    V, V1, U2, U3 = (s.values for s in (v, v1, u2, u3))
+    W = V.shape[1]
+    total = 0.0 + 0.0j
+    for k in range(-(W - 1), W):
+        if k >= 0:
+            A = np.conj(V[:, : W - k]) @ V1[:, k:].T
+            B = np.conj(U2[:, k:]) @ U3[:, : W - k].T
+        else:
+            A = np.conj(V[:, -k:]) @ V1[:, : W + k].T
+            B = np.conj(U2[:, : W + k]) @ U3[:, -k:].T
+        if not (A.any() and B.any()):
+            continue
+        total += np.einsum("ab,abcd,cd->", A, C, B)
+    return complex(total)
+
+
 class TestTrilinearForm:
     @pytest.fixture()
     def tensor(self):
         return build_tensor(4)
 
-    def test_zero_factor(self, tensor):
+    def test_zero_factor(self):
         z = SpaceTimeSpectrum(N=2, M_half=8, values=np.zeros((2, 17), complex))
         r = random_spectrum(2, seed=1)
-        assert trilinear_form(z, r, r, r, tensor) == 0
+        assert trilinear_form(z, r, r, r) == 0
 
     def test_single_linear_mode(self, tensor):
         a = 0.5 + 0.3j
         spec = single_entry_spectrum(N=2, n=1, m=1, value=a)
-        got = trilinear_form(spec, spec, spec, spec, tensor)
+        got = trilinear_form(spec, spec, spec, spec)
         assert got == pytest.approx(tensor.value(1, 1, 1, 1) * abs(a) ** 4)
 
-    def test_against_physical_space_oracle(self, tensor):
-        N = 4
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        N=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 4),
+        top=st.booleans(),
+    )
+    # only the top mode n = N: its products reach cos(2N pi r), which
+    # pins the 2N - 1 spatial samples
+    @example(N=12, seed=1, top=True)
+    def test_matches_dense_tensor(self, N, seed, top):
+        specs = [random_spectrum(N, seed=seed + k) for k in range(4)]
+        if top:
+            specs = [dyadic_project(s, N, N) for s in specs]
+        got = trilinear_form(*specs)
+        ref = dense_trilinear(*specs, build_tensor(N).dense())
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("N", [1, 5, 12])
+    def test_top_time_frequency_vanishes(self, N):
+        # factors at m = M, -M, M, -M: the product oscillates at e(4M t), whose
+        # mean over 4M + 1 samples is 0 but over 4M samples is 1
+        M = 2 * N * N
+        specs = [single_entry_spectrum(N, N, m) for m in (M, -M, M, -M)]
+        assert dense_trilinear(*specs, build_tensor(N).dense()) == 0
+        aligned = trilinear_form(*(single_entry_spectrum(N, N, M),) * 4)
+        assert abs(trilinear_form(*specs)) <= 1e-12 * abs(aligned)
+
+    @pytest.mark.parametrize("N", [4, 32])
+    def test_against_physical_space_oracle(self, N):
         specs = [random_spectrum(N, seed=s, mod_decay=1.5) for s in range(4)]
-        got = trilinear_form(*specs, tensor)
+        got = trilinear_form(*specs)
         # oracle: 4 pi int_0^1 int_0^1 conj(v) v1 conj(u2) u3 r^2 dr dt on a
         # trapezoid-in-time (exact for trigonometric polynomials) x
-        # Gauss-Legendre-in-r grid
+        # Gauss-Legendre-in-r grid, 512 time rows at a time (~8 MB per field
+        # at N = 32)
         S = 8 * specs[0].M_half  # above the 4 M_half bandwidth of the product
         rule = rule_for_modes(4 * N)
         n = np.arange(1, N + 1, dtype=float)[:, None]
         E = n * np.pi * np.sinc(n * rule.nodes[None, :])
-        fields = [synthesize_uniform(s, S) @ E for s in specs]
-        integrand = (
-            np.conj(fields[0]) * fields[1] * np.conj(fields[2]) * fields[3]
-        )
-        time_avg = integrand.mean(axis=0)
-        oracle = 4 * np.pi * rule.integrate(time_avg * rule.nodes**2)
+        coeffs = [synthesize_uniform(s, S) for s in specs]
+        time_sum = np.zeros(rule.order, dtype=complex)
+        for lo in range(0, S, 512):
+            f, f1, f2, f3 = (a[lo : lo + 512] @ E for a in coeffs)
+            time_sum += (np.conj(f) * f1 * np.conj(f2) * f3).sum(axis=0)
+        oracle = 4 * np.pi * rule.integrate(time_sum / S * rule.nodes**2)
         assert got == pytest.approx(oracle, rel=1e-6)
 
-    def test_size_bound(self, tensor):
-        big = SpaceTimeSpectrum(
-            N=25, M_half=2 * 625, values=np.zeros((25, 4 * 625 + 1), complex)
-        )
-        with pytest.raises(ResolutionError):
-            trilinear_form(big, big, big, big, tensor)
-
-    def test_mismatched_spectra(self, tensor):
+    def test_mismatched_spectra(self):
         a = random_spectrum(2, seed=0)
         b = random_spectrum(3, seed=0)
         with pytest.raises(DomainError):
-            trilinear_form(a, a, b, a, tensor)
+            trilinear_form(a, a, b, a)
 
 
 class TestLemma1:
