@@ -29,6 +29,7 @@ __all__ = [
     "eigenfunction_value",
     "eval_matrix",
     "nodal_modulus_sq",
+    "sine_samples",
     "quartic_grid",
     "cubic_grid",
     "trapezoid_weights",
@@ -193,6 +194,19 @@ def _reflected_transform(X: np.ndarray, M: int, sine: bool) -> np.ndarray:
 
 
 @functools.cache
+def sine_samples(N: int, M: int) -> np.ndarray:
+    """Read-only S[n-1, j-1] = sin(n pi j/M), (N, M - 1): v = a @ S holds
+    v(r) = r u(r) at r_j = j/M.  quartic_grid (M = 2N), cubic_grid and the
+    Strang step (M = 3N + 1) share it."""
+    n = np.arange(1, _check_index(N, "N") + 1)[:, None]
+    j = np.arange(1, M)
+    # the angles are reduced mod 2 pi exactly, on the integers n j
+    S = np.sin(np.pi * ((n * j) % (2 * M)) / M)
+    S.flags.writeable = False
+    return S
+
+
+@functools.cache
 def quartic_grid(N: int) -> tuple[np.ndarray, np.ndarray]:
     """(S, H) with int_B |u|^4 dx = s^T H s exactly, s = |a @ S|^2.
 
@@ -212,20 +226,15 @@ def quartic_grid(N: int) -> tuple[np.ndarray, np.ndarray]:
     """
     N = _check_index(N, "N")
     M = 2 * N
-    n = np.arange(1, N + 1)[:, None]
     k = np.arange(M + 1)[:, None]
-    j = np.arange(1, M)
-    # the angles are reduced mod 2 pi exactly, on the integers n j
-    S = np.sin(np.pi * ((n * j) % (2 * M)) / M)
     pi = np.arccos(np.longdouble(-1.0))
     F = _f_table(2 * M).astype(np.longdouble)
     H0 = 2 * pi * (F[k + k.T] + F[abs(k - k.T)])
     # H^T = D^T (D^T H0)^T, two transforms by halves
     H = _reflected_transform(_reflected_transform(H0, M, False).T, M, False)
     H = H.T.astype(float, order="C")
-    for arr in (S, H):
-        arr.flags.writeable = False
-    return S, H
+    H.flags.writeable = False
+    return sine_samples(N, M), H
 
 
 @functools.cache
@@ -249,16 +258,13 @@ def cubic_grid(N: int) -> tuple[np.ndarray, np.ndarray]:
     N = _check_index(N, "N")
     M = 3 * N + 1
     n = np.arange(1, N + 1)
-    j = np.arange(1, M)
-    S = np.sin(np.pi * ((n[:, None] * j) % (2 * M)) / M)
     pi = np.arccos(np.longdouble(-1.0))
     k = np.arange(1, M)[:, None]
     F = _f_table(M - 1 + N).astype(np.longdouble)
     K3 = 2 * pi * (F[abs(k - n)] - F[k + n])
     Q = _reflected_transform(K3, M, True).astype(float)
-    for arr in (S, Q):
-        arr.flags.writeable = False
-    return S, Q
+    Q.flags.writeable = False
+    return sine_samples(N, M), Q
 
 
 def trapezoid_weights(count: int, dt: float) -> np.ndarray:

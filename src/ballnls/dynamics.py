@@ -18,8 +18,9 @@ Two integrators:
   on the stiff full ODE cannot meet the conservation budget at the
   default step size.
 * ``collocation_split`` -- Strang splitting: exact half linear phase,
-  pointwise nonlinear rotation u -> u exp(-i coupling |u|^2 dt) on
-  quadrature nodes followed by projection, exact half linear phase.
+  pointwise nonlinear rotation u -> u exp(-i coupling |u|^2 dt) on the
+  3N-sample sine grid of basis.cubic_grid followed by the (orthogonal)
+  discrete sine projection back to N modes, exact half linear phase.
 """
 
 from __future__ import annotations
@@ -29,13 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (
-    CorrelationTensor,
-    CubicBuffers,
-    cubic_term,
-    eval_matrix,
-    rule_for_modes,
-)
+from .basis import CorrelationTensor, CubicBuffers, cubic_term, sine_samples
 from .errors import BlowUpError, DomainError, ResolutionError
 
 __all__ = [
@@ -163,21 +158,6 @@ class Trajectory:
         )
 
 
-def _collocation_ops(N: int):
-    """(E, P): u(nodes) = a @ E and a = (|u|^2 u ...) @ P.T style projection.
-
-    The nodes are rule_for_modes(4 N): |u|^2 u sin(n pi r) carries
-    frequencies up to 4N.  E[n-1, j] = e_n(r_j); P[n-1, j] = 2 sin(n pi
-    r_j) r_j w_j so that (P @ u)_n = <u, e_n>/||e_n||^2 without ever
-    dividing by r.
-    """
-    rule = rule_for_modes(4 * N)
-    n = np.arange(1, N + 1, dtype=float)[:, None]
-    r = rule.nodes[None, :]
-    P = 2.0 * np.sin(np.pi * n * r) * (rule.nodes * rule.weights)[None, :]
-    return eval_matrix(N, rule.nodes), P
-
-
 def nonlinear_coefficient(state: RadialState, n: int) -> complex:
     """G_n(a), the mode-n coefficient of P_N(|u|^2 u) / ||e_n||^2."""
     if not (1 <= n <= state.N):
@@ -236,28 +216,67 @@ def _rk4_batch(A, t, dt, nsq, coupling, buf):
     return np.multiply(B, np.exp(-2j * np.pi * nsq * (t + dt)), out=B)
 
 
-def _strang_batch(A, dt, E, P, nsq, coupling):
-    """One Strang split step for a (samples, N) batch."""
-    half = np.exp(-1j * np.pi * nsq * dt)  # e(-n^2 dt/2)
-    A = A * half
-    U = A @ E
-    U = U * np.exp(-1j * coupling * (U.real**2 + U.imag**2) * dt)
-    A = U @ P.T
-    return A * half
+def _rotate(x, y, cos, sin, xs, ys):
+    """(x, y) <- (x cos - y sin, x sin + y cos) in place, with work arrays
+    xs and ys (ys may be sin).  numpy's complex multiply rounds a
+    one-element loop apart from its vector loop: at N = 1 a lone row's bits
+    would differ from its batch's."""
+    np.multiply(x, sin, out=xs)
+    np.multiply(y, sin, out=ys)
+    x *= cos
+    x -= ys
+    y *= cos
+    y += xs
+
+
+def _strang_batch(A, half, grid, back, gauge, buf, xs):
+    """One Strang split step for a (samples, N) batch on the sine grid.
+
+    a -> a half (half = e(-n^2 dt/2) as (cos, sin)); v = a @ grid, v(r_j)
+    = r_j u(r_j) at r_j = j/M, M = 3N + 1; v_j -> v_j exp(i gauge_j
+    |v_j|^2), gauge_j = -coupling dt (M/j)^2; a = v @ back, back = (2/M)
+    grid^T, the DST-I, orthogonal on this grid, so no mass is added;
+    a -> a half.  Re over Im go through real GEMMs as in cubic_term, and
+    back is C-contiguous, so a lone row gets the bits it has in a batch.
+    Writes into buf (CubicBuffers) and xs; returns buf.W (A may be it).
+    """
+    S = len(A)
+    parts, V, V2, WW = buf.parts, buf.V, buf.V2, buf.WW
+    np.copyto(parts[:S], A.real)
+    np.copyto(parts[S:], A.imag)
+    _rotate(parts[:S], parts[S:], *half, WW[:S], WW[S:])
+    np.matmul(parts, grid, out=V)
+    cos, sin = V2[:S], V2[S:]
+    np.square(V, out=V2)
+    theta = np.add(cos, sin, out=cos)
+    theta *= gauge
+    np.sin(theta, out=sin)
+    np.cos(theta, out=cos)
+    _rotate(V[:S], V[S:], cos, sin, xs, sin)
+    np.matmul(V, back, out=WW)
+    _rotate(WW[:S], WW[S:], *half, parts[:S], parts[S:])
+    buf.W.real = WW[:S]
+    buf.W.imag = WW[S:]
+    return buf.W
 
 
 def _stepper(shape: tuple[int, int], config: IntegratorConfig):
     """stepper(A, t): one step of config.method for a batch of this shape.
 
-    The RK4 stepper owns its buffers, and its result is one of them.
+    Each stepper owns its buffers, and its result is one of them.
     """
     S, N = shape
     nsq = np.arange(1, N + 1, dtype=float) ** 2
     if config.method == "reference_rk4":
         buf = _RK4Buffers(S, N)
         return lambda A, t: _rk4_batch(A, t, config.dt, nsq, config.coupling, buf)
-    E, P = _collocation_ops(N)
-    return lambda A, t: _strang_batch(A, config.dt, E, P, nsq, config.coupling)
+    M = 3 * N + 1
+    half = np.cos(np.pi * nsq * config.dt), -np.sin(np.pi * nsq * config.dt)
+    grid = sine_samples(N, M)
+    back = np.ascontiguousarray(grid.T) * (2.0 / M)
+    gauge = (-config.coupling * config.dt) * (M * M / np.arange(1, M) ** 2)
+    buf, xs = CubicBuffers(S, N), np.empty((S, 3 * N))
+    return lambda A, t: _strang_batch(A, half, grid, back, gauge, buf, xs)
 
 
 def _check_record(A: np.ndarray, mass_prev: np.ndarray, t: float) -> np.ndarray:
@@ -311,7 +330,7 @@ def step_reference(
 
 
 def step_collocation(state: RadialState, config: IntegratorConfig) -> RadialState:
-    """One Strang splitting step (exact phases + pointwise nonlinear gauge)."""
+    """One Strang splitting step (exact phases + sine-grid nonlinear gauge)."""
     if config.method != "collocation_split":
         raise DomainError("config.method must be collocation_split")
     return _step(state, config)

@@ -30,8 +30,10 @@ from ballnls.basis import (
     max_circle_count,
     nodal_modulus_sq,
     quartic_form,
+    quartic_grid,
     rule_for_modes,
     sigma_sum,
+    sine_samples,
 )
 from ballnls.errors import DomainError, ResolutionError
 from ballnls.experiments import observable_table
@@ -416,10 +418,16 @@ class TestCubicTermBatches:
         S, Q = cubic_grid(8)
         assert (S.shape, Q.shape) == ((8, 24), (24, 8))
         assert cubic_grid(8)[1] is Q
-        with pytest.raises(ValueError):
-            Q[0, 0] = 1.0
+        # both grid forms take their sine samples from the one cached matrix
+        assert S is sine_samples(8, 25)
+        assert quartic_grid(8)[0] is sine_samples(8, 16)
+        for arr in (S, Q):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
         with pytest.raises(DomainError):
             cubic_grid(0)
+        with pytest.raises(DomainError):
+            sine_samples(0, 1)
 
 
 class TestCircleCounts:
