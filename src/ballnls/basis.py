@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.fft  # noqa: F401  (loaded at import, not inside a command)
 import numpy.polynomial.legendre  # noqa: F401  (loaded at import, not inside a command)
 
 from .errors import DomainError, ResolutionError
@@ -30,6 +31,7 @@ __all__ = [
     "eval_matrix",
     "nodal_modulus_sq",
     "sine_samples",
+    "sine_back",
     "quartic_grid",
     "cubic_grid",
     "trapezoid_weights",
@@ -164,33 +166,21 @@ def nodal_modulus_sq(A: np.ndarray, E: np.ndarray, rows: int | None = None):
         yield slice(lo, lo + step), np.add(u2[:n], u2[n:], out=u2[:n])
 
 
-def _reflected_transform(X: np.ndarray, M: int, sine: bool) -> np.ndarray:
+def _dtt_transpose(X: np.ndarray, M: int, sine: bool) -> np.ndarray:
     """D^T X in long double, D the inverse DCT-I or DST-I on r_j = j/M.
 
     D[k, j] = (2/M) cos(k pi j/M) for k = 0..M with rows 0 and M halved
     (DCT-I), or (2/M) sin(k pi j/M) for k = 1..M - 1 (DST-I); the rows of
-    X run over the same k, and j = 1..M - 1.  Column M - j of D is column
-    j times (-1)^k (DCT-I) or (-1)^(k+1) (DST-I), so the even-k and the
-    odd-k rows of the first M/2 columns give every row of D^T X: half the
-    products of the full matmul, which for long double has no BLAS.
+    X run over the same k, and j = 1..M - 1.  Row j of D^T X is then bin j
+    of the FFT along k of X's even extension to 2M rows (its real part
+    over M) or of its odd extension (its imaginary part over -M): Martucci
+    1994.  numpy's FFT computes in long double from numpy 2.0 on.
     """
-    pi = np.arccos(np.longdouble(-1.0))
-    k = np.arange(1, M) if sine else np.arange(M + 1)
-    j = np.arange(1, M // 2 + 1)
-    # the angles are reduced mod 2 pi exactly, on the integers k j
-    angle = pi * ((k[:, None] * j) % (2 * M)) / M
-    D = (np.sin(angle) if sine else np.cos(angle)) * (2 / np.longdouble(M))
-    if not sine:
-        D[[0, M]] /= 2
-    even = k % 2 == 0
-    # numpy's long-double matmul runs its inner sum along a row of the left
-    # factor and a column of the right one: both are made contiguous there
-    E, O = (
-        np.ascontiguousarray(D[rows].T) @ np.asfortranarray(X[rows])
-        for rows in (even, ~even)
-    )
-    reflected = (O - E) if sine else (E - O)
-    return np.concatenate([E + O, reflected[: M - 1 - M // 2][::-1]])
+    zero = np.zeros_like(X[:1])
+    parts = [zero, X, zero, -X[::-1]] if sine else [X, X[-2:0:-1]]
+    # the extension is a temporary, freed as soon as the FFT returns
+    Y = np.fft.rfft(np.concatenate(parts), axis=0)[1:M]
+    return Y.imag / -M if sine else Y.real / M
 
 
 @functools.cache
@@ -207,6 +197,15 @@ def sine_samples(N: int, M: int) -> np.ndarray:
 
 
 @functools.cache
+def sine_back(N: int, M: int) -> np.ndarray:
+    """Read-only, C-contiguous (2/M) S^T, S = sine_samples(N, M): the DST-I,
+    so a = v @ sine_back(N, M) undoes v = a @ S (for the Strang step)."""
+    B = np.ascontiguousarray(sine_samples(N, M).T) * (2.0 / M)
+    B.flags.writeable = False
+    return B
+
+
+@functools.cache
 def quartic_grid(N: int) -> tuple[np.ndarray, np.ndarray]:
     """(S, H) with int_B |u|^4 dx = s^T H s exactly, s = |a @ S|^2.
 
@@ -218,7 +217,7 @@ def quartic_grid(N: int) -> tuple[np.ndarray, np.ndarray]:
     H0[k, l] = 2 pi [F(k + l) + F(|k - l|)], F as in _f_table, so
     H = D^T H0 D, (2N - 1)^2 values.
 
-    H is formed in long double, by halves (_reflected_transform), and then
+    H is formed in long double, by two FFTs (_dtt_transpose), and then
     rounded: formed in float64, its rounding error grew with N, to 1.2e-13
     relative in the quartic at N = 256 against 8e-15 this way (platforms
     whose long double is float64 get the former).  Both arrays are
@@ -230,8 +229,8 @@ def quartic_grid(N: int) -> tuple[np.ndarray, np.ndarray]:
     pi = np.arccos(np.longdouble(-1.0))
     F = _f_table(2 * M).astype(np.longdouble)
     H0 = 2 * pi * (F[k + k.T] + F[abs(k - k.T)])
-    # H^T = D^T (D^T H0)^T, two transforms by halves
-    H = _reflected_transform(_reflected_transform(H0, M, False).T, M, False)
+    # H^T = D^T (D^T H0)^T, two transforms
+    H = _dtt_transpose(_dtt_transpose(H0, M, False).T, M, False)
     H = H.T.astype(float, order="C")
     H.flags.writeable = False
     return sine_samples(N, M), H
@@ -250,10 +249,10 @@ def cubic_grid(N: int) -> tuple[np.ndarray, np.ndarray]:
     = 2 pi [F(|k - n|) - F(k + n)], F as in _f_table, so Q = D^T K3,
     (3N, N).
 
-    Q is formed in long double and then rounded, as quartic_grid's H is:
-    formed in float64, w differed from the tensor contraction by up to
-    6.0e-14 of a row's largest coefficient over N <= 64, against 2.6e-14
-    this way.  Both arrays are read-only and shared by every caller.
+    Q is formed in long double by FFT and then rounded, as quartic_grid's
+    H is: formed in float64, w differed from the tensor contraction by up
+    to 6.0e-14 of a row's largest coefficient over N <= 64, against
+    2.6e-14 this way.  Both arrays are read-only and shared by every caller.
     """
     N = _check_index(N, "N")
     M = 3 * N + 1
@@ -262,7 +261,7 @@ def cubic_grid(N: int) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(1, M)[:, None]
     F = _f_table(M - 1 + N).astype(np.longdouble)
     K3 = 2 * pi * (F[abs(k - n)] - F[k + n])
-    Q = _reflected_transform(K3, M, True).astype(float)
+    Q = _dtt_transpose(K3, M, True).astype(float)
     Q.flags.writeable = False
     return sine_samples(N, M), Q
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CorrelationTensor, CubicBuffers, cubic_term, sine_samples
+from .basis import CorrelationTensor, CubicBuffers, cubic_term, sine_back, sine_samples
 from .errors import BlowUpError, DomainError, ResolutionError
 
 __all__ = [
@@ -272,8 +272,7 @@ def _stepper(shape: tuple[int, int], config: IntegratorConfig):
         return lambda A, t: _rk4_batch(A, t, config.dt, nsq, config.coupling, buf)
     M = 3 * N + 1
     half = np.cos(np.pi * nsq * config.dt), -np.sin(np.pi * nsq * config.dt)
-    grid = sine_samples(N, M)
-    back = np.ascontiguousarray(grid.T) * (2.0 / M)
+    grid, back = sine_samples(N, M), sine_back(N, M)
     gauge = (-config.coupling * config.dt) * (M * M / np.arange(1, M) ** 2)
     buf, xs = CubicBuffers(S, N), np.empty((S, 3 * N))
     return lambda A, t: _strang_batch(A, half, grid, back, gauge, buf, xs)

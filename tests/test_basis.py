@@ -15,6 +15,7 @@ from ballnls.basis import (
     CorrelationTensor,
     CubicBuffers,
     _correlation_batch,
+    _dtt_transpose,
     _f_table,
     build_tensor,
     correlation,
@@ -428,6 +429,48 @@ class TestCubicTermBatches:
             cubic_grid(0)
         with pytest.raises(DomainError):
             sine_samples(0, 1)
+
+
+def inverse_dtt_matrix(M, sine):
+    """D entry by entry in long double: D[k, j - 1] = (2/M) cos(k pi j/M),
+    k = 0..M, rows 0 and M halved (DCT-I), or (2/M) sin(k pi j/M),
+    k = 1..M - 1 (DST-I), for j = 1..M - 1."""
+    pi = np.arccos(np.longdouble(-1.0))
+    ks = range(1, M) if sine else range(M + 1)
+    D = np.empty((len(ks), M - 1), dtype=np.longdouble)
+    for row, k in enumerate(ks):
+        for j in range(1, M):
+            angle = pi * ((k * j) % (2 * M)) / M
+            D[row, j - 1] = 2 * (np.sin(angle) if sine else np.cos(angle)) / M
+    if not sine:
+        D[[0, M]] /= 2
+    return D
+
+
+class TestDttTranspose:
+    # largest error seen 5.0 long-double eps of max|D^T X| (M = 65, DST-I,
+    # seeds 0-5 and these); a float64 FFT would be ~1000
+    @pytest.mark.parametrize("sine", [False, True])
+    @pytest.mark.parametrize("M", [2, 3, 4, 5, 16, 17, 64, 65])
+    def test_matches_plain_matmul(self, M, sine):
+        D = inverse_dtt_matrix(M, sine)
+        X = np.random.default_rng(M).standard_normal((len(D), 5)).astype(np.longdouble)
+        want = D.T @ X
+        got = _dtt_transpose(X, M, sine)
+        assert got.dtype == np.longdouble and got.shape == want.shape
+        eps = np.finfo(np.longdouble).eps
+        assert np.abs(got - want).max() <= 50 * eps * np.abs(want).max()
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps == np.finfo(float).eps,
+        reason="long double is float64 here",
+    )
+    def test_fft_runs_in_long_double(self):
+        # numpy < 2.0 computes the FFT in float64, which would leave the
+        # grid forms with their float64 error (1.2e-13 in the quartic at
+        # N = 256)
+        x = np.ones(8, dtype=np.longdouble)
+        assert np.fft.rfft(x).dtype == np.clongdouble
 
 
 class TestCircleCounts:

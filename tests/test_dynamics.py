@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,8 @@ from ballnls.basis import (
     cubic_term,
     eval_matrix,
     rule_for_modes,
+    sine_back,
+    sine_samples,
 )
 from ballnls.dynamics import (
     TRILINEAR_SCALE,
@@ -202,12 +206,27 @@ class TestGridStrang:
         assert np.all(stepped <= (1 + 1e-13) * mass)
 
     def test_needs_no_cubic_q(self):
-        # cubic_grid(1024) spends ~30 s forming Q; the step takes only S
+        # cubic_grid(1024) spends ~3 s forming Q; the step takes only S
         before = cubic_grid.cache_info()
         state = small_state(N=1024)
         step_collocation(state, IntegratorConfig(method="collocation_split", dt=1e-8))
         after = cubic_grid.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_steppers_share_one_back_projection(self):
+        # no stepper copies the (3N x N) back-projection (2/M) S^T
+        N, M = 64, 193
+        config = IntegratorConfig(method="collocation_split", dt=1e-4)
+        first, second = (
+            inspect.getclosurevars(_stepper(shape, config)).nonlocals["back"]
+            for shape in ((1, N), (5, N))
+        )
+        assert first is second is sine_back(N, M)
+        assert first.flags.c_contiguous and not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+        S = sine_samples(N, M)
+        assert np.array_equal(first, np.ascontiguousarray(S.T) * (2.0 / M))
 
 
 class TestNonlinearCoefficient:
