@@ -54,15 +54,14 @@ EIGEN_NORM_SQ = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights for int_0^1 f(r) dr, plus a resolution tag.
+    """Nodes/weights for int_0^1 f(r) dr; ``order`` is the node count.
 
-    ``order`` is the total node count; the default constructors place at
-    least 8 nodes per half-oscillation of the highest requested mode.
+    The default constructors place at least 8 nodes per half-oscillation
+    of the highest requested mode.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -80,6 +79,10 @@ class QuadratureRule:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
+    @property
+    def order(self) -> int:
+        return self.nodes.size
+
     def integrate(self, values: np.ndarray) -> float | np.ndarray:
         """Integrate sampled values f(nodes) over [0, 1]."""
         return np.asarray(values) @ self.weights
@@ -95,7 +98,7 @@ def gauss_legendre_rule(panels: int, degree: int = 8) -> QuadratureRule:
     mid = (edges[:-1] + edges[1:]) / 2.0
     nodes = (half[:, None] * x[None, :] + mid[:, None]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
-    return QuadratureRule(nodes, weights, order=nodes.size)
+    return QuadratureRule(nodes, weights)
 
 
 def rule_for_modes(n_top: int) -> QuadratureRule:

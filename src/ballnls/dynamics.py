@@ -51,19 +51,23 @@ TRILINEAR_SCALE = 1.0 / (2.0 * np.pi)  # ||e_n||_2^{-2}
 
 @dataclass(frozen=True)
 class RadialState:
-    """Coefficient vector (a_n)_{n=1..N} of u = sum a_n e_n at one time."""
+    """Coefficient vector (a_n)_{n=1..N} of u = sum a_n e_n at one time;
+    N is len(coeffs)."""
 
-    N: int
     coeffs: np.ndarray
     time: float = 0.0
 
     def __post_init__(self):
         coeffs = np.ascontiguousarray(self.coeffs, dtype=complex)
-        if coeffs.shape != (self.N,):
-            raise DomainError(f"expected {self.N} coefficients, got {coeffs.shape}")
-        if self.N > 0 and not np.all(np.isfinite(coeffs.view(float))):
+        if coeffs.ndim != 1:
+            raise DomainError(f"expected a coefficient vector, got {coeffs.shape}")
+        if not np.all(np.isfinite(coeffs.view(float))):
             raise DomainError("coefficients must be finite")
         object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def N(self) -> int:
+        return len(self.coeffs)
 
     def mass(self) -> float:
         return float(_mass(self.coeffs))
@@ -153,7 +157,7 @@ class Trajectory:
     def states(self) -> tuple:
         """Per-record RadialState view, built on each access."""
         return tuple(
-            RadialState(N=self.N, coeffs=row, time=float(t))
+            RadialState(row, float(t))
             for t, row in zip(self.times, self.coeffs)
         )
 
@@ -311,7 +315,7 @@ def _step(state: RadialState, config: IntegratorConfig) -> RadialState:
     stepped = _stepper(A.shape, config)(A, state.time)
     time = state.time + config.dt
     _check_record(stepped, _mass(A), time)
-    return RadialState(N=state.N, coeffs=stepped[0], time=time)
+    return RadialState(stepped[0], time)
 
 
 def step_reference(

@@ -372,17 +372,17 @@ def block_observable(mod_sq: np.ndarray, dt_rec: float) -> np.ndarray:
     return best
 
 
-def chaos_observable(avg_gsq: np.ndarray, N2: int, n_top: int) -> np.ndarray:
+def chaos_observable(avg_gsq: np.ndarray, N2: int) -> np.ndarray:
     """max_n |sum_{n2 ~ N2} c(n,n,n2,n2) (|g_{n2}|^2 - 1) / n2^2| per sample.
 
     c comes from the closed form on sorted index tuples, the entries
-    build_tensor stores, for n = 1..n_top.
+    build_tensor stores, for n = 1..N with N = avg_gsq.shape[1].
     """
     S, N = avg_gsq.shape
     if 2 * N2 - 1 > N:
         raise DomainError(f"block n2 ~ {N2} exceeds the field truncation N={N}")
     n2_range = np.arange(N2, min(2 * N2, N + 1))
-    n, n2 = np.meshgrid(np.arange(1, n_top + 1), n2_range, indexing="ij")
+    n, n2 = np.meshgrid(np.arange(1, N + 1), n2_range, indexing="ij")
     lo, hi = np.minimum(n, n2), np.maximum(n, n2)
     tuples = np.stack([lo, lo, hi, hi], axis=-1).reshape(-1, 4)
     rows = _correlation_batch(tuples).reshape(n.shape) / n2**2
@@ -430,7 +430,7 @@ def run_block_observables(
         gsq = mod_sq / spec.sigma[None, None, :] ** 2
         avg_gsq[lo : lo + A0.shape[0]] = np.tensordot(tw, gsq, axes=(0, 0))
     medians = {
-        N2: float(np.median(chaos_observable(avg_gsq, N2, n_top=N)))
+        N2: float(np.median(chaos_observable(avg_gsq, N2)))
         for N2 in n2_values
     }
     return BlockReport(
@@ -545,29 +545,13 @@ def run_convergence_ladder(
 # Lemma-4 embedding study
 
 
+# Lemma 4's exponents: (i) 2 < p < 3, q = 2, b > 1/4; (iii) p = 3,
+# 1/4 < b < 1/2, s > 0, q = 4/(3 - 4b); (vii) 2 <= p = q < 8/3, b > 1/2.
 _CLAUSE_DEFAULTS = {
     "i": NormParams(s=0.0, b=0.3, p=2.5, q=2.0),
     "iii": NormParams(s=0.01, b=0.4, p=3.0, q=4.0 / (3.0 - 4.0 * 0.4)),
     "vii": NormParams(s=0.0, b=0.55, p=2.5, q=2.5),
 }
-
-
-def _validate_clause(clause: str, params: NormParams) -> NormParams:
-    if clause == "i":
-        if not (2.0 < params.p < 3.0 and params.b > 0.25 and params.q == 2.0):
-            raise DomainError("clause (i) needs 2 < p < 3, q = 2, b > 1/4")
-    elif clause == "iii":
-        if not (0.25 < params.b < 0.5 and params.s > 0 and params.p == 3.0):
-            raise DomainError("clause (iii) needs p = 3, 1/4 < b < 1/2, s > 0")
-        expected_q = 4.0 / (3.0 - 4.0 * params.b)
-        if abs(params.q - expected_q) > 1e-9:
-            raise DomainError("clause (iii) needs q = 4/(3 - 4b)")
-    elif clause == "vii":
-        if not (2.0 <= params.p < 8.0 / 3.0 and params.p == params.q and params.b > 0.5):
-            raise DomainError("clause (vii) needs 2 <= p = q < 8/3, b > 1/2")
-    else:
-        raise DomainError(f"unsupported clause {clause!r} (have i, iii, vii)")
-    return params
 
 
 @dataclass(frozen=True)
@@ -599,7 +583,7 @@ def random_spectrum(N: int, gen: np.random.Generator) -> SpaceTimeSpectrum:
     for part in (values.real, values.imag):
         gen.standard_normal(out=draw)
         np.multiply(draw, weight, out=part)
-    return SpaceTimeSpectrum(N=N, M_half=M_half, values=values)
+    return SpaceTimeSpectrum(values)
 
 
 def run_embedding_study(
@@ -607,16 +591,14 @@ def run_embedding_study(
     N: int,
     trials: int,
     rng: RngStream | None = None,
-    params: NormParams | None = None,
 ) -> EmbeddingReport:
-    """Distribution of mixed_norm / xsb_norm over random spectra."""
+    """Distribution of mixed_norm / xsb_norm over random spectra, at the
+    clause's fixed exponents (s, b, p, q) in _CLAUSE_DEFAULTS."""
     if N < 1:
         raise DomainError("N must be >= 1")
-    if params is None:
-        if clause not in _CLAUSE_DEFAULTS:
-            raise DomainError(f"unsupported clause {clause!r} (have i, iii, vii)")
-        params = _CLAUSE_DEFAULTS[clause]
-    params = _validate_clause(clause, params)
+    if clause not in _CLAUSE_DEFAULTS:
+        raise DomainError(f"unsupported clause {clause!r} (have i, iii, vii)")
+    params = _CLAUSE_DEFAULTS[clause]
     if trials < 1:
         raise DomainError("need at least one trial")
     rng = rng if rng is not None else RngStream(seed=0)

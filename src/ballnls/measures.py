@@ -68,35 +68,39 @@ class RngStream:
         return RngStream(self.seed, self.stream_id + int(k))
 
 
+def _mode_numbers(N: int) -> np.ndarray:
+    if N < 0:
+        raise DomainError("N must be >= 0")
+    return np.arange(1, N + 1, dtype=float)
+
+
 @dataclass(frozen=True)
 class FreeMeasureSpec:
-    """Truncation N and coefficient standard deviations sigma_n, n = 1..N."""
+    """Coefficient standard deviations sigma_n, n = 1..N; N is len(sigma)."""
 
-    N: int
     sigma: np.ndarray
-    preset: str = "custom"
 
     def __post_init__(self):
-        if self.N < 0:
-            raise DomainError("N must be >= 0")
         sigma = np.asarray(self.sigma, dtype=float)
-        if sigma.shape != (self.N,):
-            raise DomainError("sigma must have one entry per mode")
-        if np.any(sigma <= 0) and self.N > 0:
+        if sigma.ndim != 1:
+            raise DomainError("sigma must be a 1-d array, one entry per mode")
+        if np.any(sigma <= 0):
             raise DomainError("sigma_n must be positive")
         object.__setattr__(self, "sigma", sigma)
+
+    @property
+    def N(self) -> int:
+        return len(self.sigma)
 
     @classmethod
     def derived(cls, N: int) -> "FreeMeasureSpec":
         """sigma_n = 1/(sqrt(2) pi n); invariant pair with beta_q = 1/4."""
-        n = np.arange(1, N + 1, dtype=float)
-        return cls(N, 1.0 / (np.sqrt(2.0) * np.pi * n), preset="derived")
+        return cls(1.0 / (np.sqrt(2.0) * np.pi * _mode_numbers(N)))
 
     @classmethod
     def paper_literal(cls, N: int) -> "FreeMeasureSpec":
         """sigma_n = 1/(n pi); invariant pair with beta_q = 1/8."""
-        n = np.arange(1, N + 1, dtype=float)
-        return cls(N, 1.0 / (np.pi * n), preset="paper")
+        return cls(1.0 / (np.pi * _mode_numbers(N)))
 
     @classmethod
     def from_preset(cls, name: str, N: int) -> "FreeMeasureSpec":
@@ -124,7 +128,7 @@ def sample_free(spec: FreeMeasureSpec, rng: RngStream) -> RadialState:
     """Draw a_n = sigma_n g_n for n <= N from stream rng: the one-row case
     of sample_free_batch."""
     coeffs = sample_free_batch(spec, rng, 1)[0]
-    return RadialState(N=spec.N, coeffs=coeffs, time=0.0)
+    return RadialState(coeffs)
 
 
 # Rows per chunk of sample_free_batch and _quartic_batch: the draw buffer,
@@ -329,7 +333,7 @@ def sample_gibbs(
         spec, beta_q, rng, 1, max_rounds=max_attempts
     )
     return GibbsSample(
-        state=RadialState(N=spec.N, coeffs=coeffs[0], time=0.0),
+        state=RadialState(coeffs[0]),
         quartic_norm=float(quartics[0]),
         attempts=round(1.0 / rate),
     )

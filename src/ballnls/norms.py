@@ -63,19 +63,19 @@ class TimeWindow:
 
 @dataclass(frozen=True)
 class SpaceTimeSpectrum:
-    """Grid f_{n,m}, 1 <= n <= N, |m| <= M_half, over a unit time window."""
+    """Grid f_{n,m}, 1 <= n <= N, |m| <= M_half, over a unit time window;
+    N and M_half are read off the shape of values."""
 
-    N: int
-    M_half: int
     values: np.ndarray  # shape (N, 2*M_half + 1), column m + M_half
     window: TimeWindow = TimeWindow()
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=complex)
-        if values.shape != (self.N, 2 * self.M_half + 1):
+        if values.ndim != 2 or values.shape[1] % 2 != 1:
             raise DomainError(
-                f"values must have shape ({self.N}, {2 * self.M_half + 1})"
+                f"values must have shape (N, 2*M_half + 1), got {values.shape}"
             )
+        object.__setattr__(self, "values", values)
         if self.M_half < 2 * self.N**2:
             raise DomainError(
                 f"M_half={self.M_half} < 2 N^2 = {2 * self.N**2}: modulation "
@@ -83,7 +83,14 @@ class SpaceTimeSpectrum:
             )
         if not np.all(np.isfinite(values.view(float))):
             raise DomainError("spectrum entries must be finite")
-        object.__setattr__(self, "values", values)
+
+    @property
+    def N(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def M_half(self) -> int:
+        return self.values.shape[1] // 2
 
     @property
     def m_grid(self) -> np.ndarray:
@@ -235,12 +242,7 @@ def spectrum_from_samples(
     # ifft computes (1/S) sum_j x_j e(+m j / S)
     coef = np.fft.ifft(A.T * w[None, :], axis=1)
     cols = np.arange(-M_half, M_half + 1) % S
-    return SpaceTimeSpectrum(
-        N=N,
-        M_half=int(M_half),
-        values=coef[:, cols],
-        window=TimeWindow(t0=t0, taper=taper),
-    )
+    return SpaceTimeSpectrum(coef[:, cols], TimeWindow(t0=t0, taper=taper))
 
 
 def synthesize_uniform(spec: SpaceTimeSpectrum, samples: int) -> np.ndarray:
@@ -312,14 +314,12 @@ def dyadic_project(obj, N_low: int, N_high: int):
         mask = np.zeros(obj.N)
         lo, hi = min(N_low, obj.N + 1), min(N_high, obj.N)
         mask[lo - 1 : hi] = 1.0
-        return RadialState(N=obj.N, coeffs=obj.coeffs * mask, time=obj.time)
+        return RadialState(obj.coeffs * mask, obj.time)
     if isinstance(obj, SpaceTimeSpectrum):
         mask = np.zeros((obj.N, 1))
         lo, hi = min(N_low, obj.N + 1), min(N_high, obj.N)
         mask[lo - 1 : hi] = 1.0
-        return SpaceTimeSpectrum(
-            N=obj.N, M_half=obj.M_half, values=obj.values * mask, window=obj.window
-        )
+        return SpaceTimeSpectrum(obj.values * mask, obj.window)
     raise DomainError(f"cannot project object of type {type(obj).__name__}")
 
 

@@ -220,8 +220,6 @@ def test_criterion_11_trilinear_oracle():
     weight = (1.0 + np.abs(n_sq - m[None, :])) ** -1.5
     specs = [
         SpaceTimeSpectrum(
-            N=N,
-            M_half=M,
             values=weight
             * (gen.standard_normal((N, 2 * M + 1))
                + 1j * gen.standard_normal((N, 2 * M + 1))),

@@ -14,6 +14,7 @@ from scipy.special import sici
 from ballnls.basis import (
     CorrelationTensor,
     CubicBuffers,
+    QuadratureRule,
     _correlation_batch,
     _dtt_transpose,
     _f_table,
@@ -39,6 +40,7 @@ from ballnls.basis import (
 from ballnls.errors import DomainError, ResolutionError
 from ballnls.experiments import observable_table
 from ballnls.measures import FreeMeasureSpec, RngStream, sample_free_batch
+from ballnls.norms import mixed_norm_matrix
 
 
 class TestQuadrature:
@@ -61,6 +63,19 @@ class TestQuadrature:
     def test_invalid_nodes_rejected(self):
         with pytest.raises(DomainError):
             gauss_legendre_rule(panels=0)
+
+    def test_hand_built_rule_takes_its_order_from_nodes(self):
+        source = gauss_legendre_rule(4, 8)
+        rule = QuadratureRule(source.nodes.copy(), source.weights.copy())
+        assert rule.order == source.order == 32
+        # 32 nodes cannot resolve mode 500, however the rule was built
+        with pytest.raises(ResolutionError):
+            eigenfunction_lp_norm(500, 4.0, rule)
+        gen = np.random.default_rng(5)
+        A = gen.standard_normal((65, 2)) + 1j * gen.standard_normal((65, 2))
+        assert mixed_norm_matrix(A, 1.0 / 64, 3.0, 4.0, rule) == mixed_norm_matrix(
+            A, 1.0 / 64, 3.0, 4.0, source
+        )
 
 
 class TestEigenfunctions:

@@ -41,7 +41,7 @@ def small_state(N=8, seed=0, scale=0.2):
     gen = np.random.default_rng(seed)
     coeffs = scale * (gen.standard_normal(N) + 1j * gen.standard_normal(N))
     coeffs /= np.arange(1, N + 1)
-    return RadialState(N=N, coeffs=coeffs, time=0.0)
+    return RadialState(coeffs=coeffs, time=0.0)
 
 
 def gl_strang_step(A, dt, coupling=1.0):
@@ -68,12 +68,12 @@ def strang_step(A, dt, coupling=1.0):
 
 class TestState:
     def test_mass(self):
-        s = RadialState(N=2, coeffs=np.array([1.0, 1j]), time=0.0)
+        s = RadialState(coeffs=np.array([1.0, 1j]), time=0.0)
         assert s.mass() == pytest.approx(4 * np.pi)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
-            RadialState(N=1, coeffs=np.array([np.nan + 0j]), time=0.0)
+            RadialState(coeffs=np.array([np.nan + 0j]), time=0.0)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -131,7 +131,7 @@ class TestConservation:
         gen = np.random.default_rng(5)
         for _ in range(20):
             g = (gen.standard_normal(8) + 1j * gen.standard_normal(8)) / np.sqrt(2)
-            state = RadialState(N=8, coeffs=g)
+            state = RadialState(coeffs=g)
             ref = evolve(
                 state, 0.0, IntegratorConfig(method="reference_rk4"), tensor=tensor
             )
@@ -234,7 +234,7 @@ class TestNonlinearCoefficient:
         # a = (a1, 0, ...): G_1 = c(1,1,1,1) |a1|^2 a1 / (2 pi)
         coeffs = np.zeros(8, dtype=complex)
         coeffs[0] = 0.5 + 0.2j
-        state = RadialState(N=8, coeffs=coeffs, time=0.0)
+        state = RadialState(coeffs=coeffs, time=0.0)
         g1 = nonlinear_coefficient(state, 1)
         expected = (
             tensor.value(1, 1, 1, 1) * abs(coeffs[0]) ** 2 * coeffs[0] / (2 * np.pi)
@@ -365,7 +365,7 @@ class TestBlowUp:
     @pytest.mark.filterwarnings("error")
     def test_huge_amplitude_raises(self, tensor):
         coeffs = np.full(8, 100.0 + 0j)
-        state = RadialState(N=8, coeffs=coeffs, time=0.0)
+        state = RadialState(coeffs=coeffs, time=0.0)
         cfg = IntegratorConfig(method="reference_rk4", dt=1e-2, dt_record=1e-2)
         with pytest.raises(BlowUpError, match=r"at t=0\.01, sample 0") as info:
             evolve(state, 1.0, cfg, tensor=tensor)
@@ -376,14 +376,14 @@ class TestBlowUp:
     # the step functions run evolve_batch's record check on their one step
     @pytest.mark.filterwarnings("error")
     def test_huge_amplitude_reference_step_raises(self, tensor):
-        state = RadialState(N=8, coeffs=np.full(8, 100.0 + 0j), time=0.0)
+        state = RadialState(coeffs=np.full(8, 100.0 + 0j), time=0.0)
         cfg = IntegratorConfig(method="reference_rk4", dt=1e-2)
         with pytest.raises(BlowUpError, match=r"at t=0\.01, sample 0"):
             step_reference(state, cfg, tensor)
 
     @pytest.mark.filterwarnings("error")
     def test_huge_amplitude_collocation_step_raises(self):
-        state = RadialState(N=8, coeffs=np.full(8, 100.0 + 0j), time=0.0)
+        state = RadialState(coeffs=np.full(8, 100.0 + 0j), time=0.0)
         cfg = IntegratorConfig(method="collocation_split", dt=1e-2)
         with pytest.raises(BlowUpError, match=r"at t=0\.01, sample 0"):
             step_collocation(state, cfg)

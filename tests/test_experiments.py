@@ -145,12 +145,29 @@ class TestTails:
             method="collocation_split", dt=dt_rec / steps, dt_record=dt_rec
         )
         for a, value in zip(A, values):
-            traj = evolve(RadialState(N=N, coeffs=a), 1.0, cfg)
+            traj = evolve(RadialState(coeffs=a), 1.0, cfg)
             if kind == "mixed":
                 expected = mixed_norm(traj, params.p, params.q, rule)
             else:
                 expected = xsb_norm(spectrum_from_trajectory(traj), params.s, params.b)
             assert value == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("N", [4, 8])
+    @pytest.mark.parametrize("kind, tol", [("mixed", 5e-4), ("xsb", 2e-3)])
+    def test_space_time_kinds_measure_initial_l2(self, kind, tol, N):
+        # At NormParams() both kinds are L^2 in x and t (Plancherel), and the
+        # Strang step keeps the mass: sqrt(2 pi sum |a_n|^2) over the unit
+        # window for mixed, sqrt(sum |a_n|^2) for xsb.  Seed 3 deviates by at
+        # most 3.7e-5 (mixed) and 1.8e-4 (xsb), from the time trapezoid and
+        # the M_half band.
+        from ballnls.experiments import _norm_samples
+
+        A = sample_free_batch(FreeMeasureSpec.derived(N), RngStream(seed=3), 6)
+        l2 = np.sqrt(np.sum(np.abs(A) ** 2, axis=1))
+        if kind == "mixed":
+            l2 *= math.sqrt(2.0 * math.pi)
+        values = _norm_samples(kind, A, NormParams(), dt=1e-3, coupling=1.0)
+        np.testing.assert_allclose(values, l2, rtol=tol, atol=0)
 
 
 def whole_ensemble_l4(measure, N, n, rng):
@@ -244,7 +261,7 @@ class TestBlocks:
     def test_chaos_observable_centering(self):
         # |g|^2 identically 1 => centered sum vanishes
         avg = np.ones((3, 8))
-        vals = chaos_observable(avg, N2=2, n_top=4)
+        vals = chaos_observable(avg, N2=2)
         assert np.allclose(vals, 0.0)
 
     def test_chaos_observable_matches_tensor_rows(self):
@@ -260,11 +277,11 @@ class TestBlocks:
                 ]
             )
             expected = np.max(np.abs((avg[:, n2_range - 1] - 1.0) @ rows.T), axis=1)
-            assert np.array_equal(chaos_observable(avg, N2, n_top=N), expected)
+            assert np.array_equal(chaos_observable(avg, N2), expected)
 
     def test_chaos_block_exceeds_truncation(self):
         with pytest.raises(DomainError):
-            chaos_observable(np.ones((2, 8)), N2=8, n_top=4)
+            chaos_observable(np.ones((2, 8)), N2=8)
 
     @pytest.mark.parametrize("n2_values", [(0,), (0, 4), (-2, 4)])
     def test_block_size_below_one_rejected(self, n2_values):
@@ -350,7 +367,7 @@ class TestEmbeddings:
         M = 2 * N * N
         vals = np.zeros((N, 2 * M + 1), dtype=complex)
         vals[n - 1, m + M] = 2.0
-        spec = SpaceTimeSpectrum(N=N, M_half=M, values=vals)
+        spec = SpaceTimeSpectrum(values=vals)
         rule = rule_for_modes(8)
         p, s, b = 2.5, 0.0, 0.3
         ratio = mixed_norm_l2t(spec, p, rule) / xsb_norm(spec, s, b)
@@ -358,12 +375,6 @@ class TestEmbeddings:
         assert ratio == pytest.approx(expected, rel=1e-9)
 
     def test_clause_validation(self):
-        from ballnls.norms import NormParams
-
-        with pytest.raises(DomainError):
-            run_embedding_study(
-                "i", N=4, trials=2, params=NormParams(s=0, b=0.1, p=2.5, q=2)
-            )
         with pytest.raises(DomainError):
             run_embedding_study("iv", N=4, trials=2)
 

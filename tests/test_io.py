@@ -54,7 +54,7 @@ class TestTrajectoryFile:
             assert _bits(getattr(back, name)) == _bits(getattr(traj, name)), name
 
     def test_evolve_from_nonzero_start_keeps_its_times(self, tmp_path):
-        state = RadialState(N=4, coeffs=np.full(4, 0.1 + 0.05j), time=0.5)
+        state = RadialState(coeffs=np.full(4, 0.1 + 0.05j), time=0.5)
         cfg = IntegratorConfig(
             method="collocation_split", dt=0.1, dt_record=0.3, coupling=0.0
         )

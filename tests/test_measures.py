@@ -274,7 +274,7 @@ class TestGibbs:
 
     def test_sampler_budget_exhaustion(self):
         # enormous amplitudes make acceptance essentially impossible
-        spec = FreeMeasureSpec(N=6, sigma=np.full(6, 50.0))
+        spec = FreeMeasureSpec(sigma=np.full(6, 50.0))
         with pytest.raises(SamplingError) as info:
             sample_gibbs(spec, 5.0, RngStream(seed=1), max_attempts=20)
         assert info.value.acceptance_rate is not None

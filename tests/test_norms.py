@@ -36,7 +36,7 @@ def unit_window_trajectory(N=2, seed=0, coupling=1.0, scale=0.3, samples=None):
     gen = np.random.default_rng(seed)
     coeffs = scale * (gen.standard_normal(N) + 1j * gen.standard_normal(N))
     coeffs /= np.arange(1, N + 1)
-    state = RadialState(N=N, coeffs=coeffs, time=0.0)
+    state = RadialState(coeffs=coeffs, time=0.0)
     samples = samples if samples is not None else 16 * N * N
     cfg = IntegratorConfig(
         method="collocation_split",
@@ -51,7 +51,7 @@ def single_entry_spectrum(N, n, m, value=1.0):
     M = 2 * N * N
     vals = np.zeros((N, 2 * M + 1), dtype=complex)
     vals[n - 1, m + M] = value
-    return SpaceTimeSpectrum(N=N, M_half=M, values=vals)
+    return SpaceTimeSpectrum(values=vals)
 
 
 def random_spectrum(N, seed, mod_decay=1.0):
@@ -63,23 +63,23 @@ def random_spectrum(N, seed, mod_decay=1.0):
     vals = w * (
         gen.standard_normal((N, 2 * M + 1)) + 1j * gen.standard_normal((N, 2 * M + 1))
     )
-    return SpaceTimeSpectrum(N=N, M_half=M, values=vals)
+    return SpaceTimeSpectrum(values=vals)
 
 
 class TestHsNorm:
     def test_single_mode_s0(self):
-        s = RadialState(N=1, coeffs=np.array([1.0 + 0j]), time=0.0)
+        s = RadialState(coeffs=np.array([1.0 + 0j]), time=0.0)
         assert hs_norm(s, 0.0) == pytest.approx(math.sqrt(2 * math.pi))
 
     def test_single_mode_weight(self):
-        s = RadialState(N=2, coeffs=np.array([0.0, 1.0 + 0j]), time=0.0)
+        s = RadialState(coeffs=np.array([0.0, 1.0 + 0j]), time=0.0)
         for expo in (0.25, 0.5, 1.0):
             assert hs_norm(s, expo) == pytest.approx(
                 2**expo * math.sqrt(2 * math.pi)
             )
 
     def test_zero_state(self):
-        s = RadialState(N=3, coeffs=np.zeros(3, dtype=complex), time=0.0)
+        s = RadialState(coeffs=np.zeros(3, dtype=complex), time=0.0)
         assert hs_norm(s, 0.3) == 0.0
 
 
@@ -101,7 +101,7 @@ class TestMixedNorm:
     def test_non_uniform_records_rejected(self):
         # records at 0, 4/64 and the off-grid endpoint 5/64; the trapezoid
         # with weight 4/64 everywhere gave 0.2659 instead of sqrt(mass * span)
-        state = RadialState(N=1, coeffs=np.array([0.3 + 0.1j]), time=0.0)
+        state = RadialState(coeffs=np.array([0.3 + 0.1j]), time=0.0)
         cfg = IntegratorConfig(
             method="collocation_split", dt=1 / 64, dt_record=4 / 64, coupling=0.0
         )
@@ -225,7 +225,7 @@ class TestSpectrum:
         assert np.allclose(spectral, time_avg, atol=1e-10)
 
     def test_zero_trajectory(self):
-        state = RadialState(N=2, coeffs=np.zeros(2, dtype=complex), time=0.0)
+        state = RadialState(coeffs=np.zeros(2, dtype=complex), time=0.0)
         cfg = IntegratorConfig(
             method="collocation_split", dt=1 / 64, dt_record=1 / 64
         )
@@ -239,9 +239,7 @@ class TestSpectrum:
 
     def test_non_unit_window_rejected(self):
         gen = np.random.default_rng(0)
-        state = RadialState(
-            N=2, coeffs=0.1 * (gen.standard_normal(2) + 0j), time=0.0
-        )
+        state = RadialState(coeffs=0.1 * (gen.standard_normal(2) + 0j), time=0.0)
         cfg = IntegratorConfig(
             method="collocation_split", dt=1 / 128, dt_record=1 / 128
         )
@@ -257,7 +255,13 @@ class TestSpectrum:
 
     def test_invariant_m_range(self):
         with pytest.raises(DomainError):
-            SpaceTimeSpectrum(N=2, M_half=4, values=np.zeros((2, 9), dtype=complex))
+            SpaceTimeSpectrum(values=np.zeros((2, 9), dtype=complex))
+
+    @pytest.mark.parametrize("shape", [(17,), (2, 18), (1, 2, 17)])
+    def test_values_must_be_an_n_by_odd_grid(self, shape):
+        # N and M_half are read off the shape (N, 2 M_half + 1)
+        with pytest.raises(DomainError):
+            SpaceTimeSpectrum(values=np.zeros(shape, dtype=complex))
 
 
 class TestXsbNorm:
@@ -286,11 +290,11 @@ class TestTripleNorm:
         mod = abs(4 - 1)  # entry at n=2, m=1
         vals = np.zeros((N, 2 * M + 1), dtype=complex)
         vals[1, 1 + M] = (mod + 1 / T) ** -0.5
-        bound = triple_norm_upper(SpaceTimeSpectrum(N=N, M_half=M, values=vals), T)
+        bound = triple_norm_upper(SpaceTimeSpectrum(values=vals), T)
         assert bound.upper <= 1.0 + 1e-12
 
     def test_zero_spectrum(self):
-        spec = SpaceTimeSpectrum(N=2, M_half=8, values=np.zeros((2, 17), complex))
+        spec = SpaceTimeSpectrum(values=np.zeros((2, 17), complex))
         assert triple_norm_upper(spec, 0.25).upper == 0.0
 
     def test_exact_second_family_profile(self):
@@ -303,7 +307,7 @@ class TestTripleNorm:
         far = mod > 1 / T
         a = np.array([0.4 + 0.1j, -0.2j, 0.1])
         vals = np.where(far, a[:, None] / np.where(far, mod, 1.0), 0)
-        bound = triple_norm_upper(SpaceTimeSpectrum(N=N, M_half=M, values=vals), T)
+        bound = triple_norm_upper(SpaceTimeSpectrum(values=vals), T)
         assert bound.upper == pytest.approx(np.linalg.norm(a), rel=1e-9)
         assert bound.part_one_mass < 1e-9
 
@@ -319,7 +323,7 @@ class TestTripleNorm:
         g = np.where(far, 1.0 / np.where(far, mod, 1.0), 0.0)
         w = np.sqrt(mod + 1 / T)
         vals = (0.3 * g + 0.05 * (mod == 0)).astype(complex)
-        spec = SpaceTimeSpectrum(N=N, M_half=M, values=vals[None, :])
+        spec = SpaceTimeSpectrum(values=vals[None, :])
         bound = triple_norm_upper(spec, T)
         best = np.inf
         for a in np.linspace(0, 1, 2001):
@@ -330,9 +334,7 @@ class TestTripleNorm:
 
     def test_monotone_under_modulus_decrease(self):
         spec = random_spectrum(2, seed=5)
-        shrunk = SpaceTimeSpectrum(
-            N=spec.N, M_half=spec.M_half, values=0.6 * spec.values
-        )
+        shrunk = SpaceTimeSpectrum(values=0.6 * spec.values)
         assert (
             triple_norm_upper(shrunk, 0.25).upper
             <= triple_norm_upper(spec, 0.25).upper + 1e-12
@@ -354,14 +356,14 @@ class TestDyadicProject:
 
     def test_partition_reassembles(self):
         gen = np.random.default_rng(8)
-        s = RadialState(N=8, coeffs=gen.standard_normal(8) + 0j, time=0.0)
+        s = RadialState(coeffs=gen.standard_normal(8) + 0j, time=0.0)
         parts = [dyadic_project(s, B, 2 * B - 1) for B in (1, 2, 4, 8)]
         total = sum(p.coeffs for p in parts)
         assert np.allclose(total, s.coeffs)
 
     def test_block_mass_orthogonality(self):
         gen = np.random.default_rng(9)
-        s = RadialState(N=8, coeffs=gen.standard_normal(8) + 0j, time=0.0)
+        s = RadialState(coeffs=gen.standard_normal(8) + 0j, time=0.0)
         masses = [
             dyadic_project(s, B, 2 * B - 1).mass() for B in (1, 2, 4, 8)
         ]
@@ -405,7 +407,7 @@ class TestTrilinearForm:
         return build_tensor(4)
 
     def test_zero_factor(self):
-        z = SpaceTimeSpectrum(N=2, M_half=8, values=np.zeros((2, 17), complex))
+        z = SpaceTimeSpectrum(values=np.zeros((2, 17), complex))
         r = random_spectrum(2, seed=1)
         assert trilinear_form(z, r, r, r) == 0
 
@@ -478,11 +480,11 @@ class TestLemma1:
         vals = np.zeros((N, 2 * M + 1), dtype=complex)
         mod = abs(4 - 2)
         vals[1, 2 + M] = (mod + 1 / T) ** -0.5
-        ratio = lemma1_check(SpaceTimeSpectrum(N=N, M_half=M, values=vals), T)
+        ratio = lemma1_check(SpaceTimeSpectrum(values=vals), T)
         assert ratio <= 2 * math.pi * (T + 1e-9) * (mod + 1 / T) ** 0 * 10
 
     def test_zero_spectrum_undefined(self):
-        spec = SpaceTimeSpectrum(N=2, M_half=8, values=np.zeros((2, 17), complex))
+        spec = SpaceTimeSpectrum(values=np.zeros((2, 17), complex))
         with pytest.raises(UndefinedRatioError):
             lemma1_check(spec, 0.25)
 
